@@ -14,8 +14,9 @@ are violated.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import asdict, dataclass
-from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Any, Deque, Dict, Iterable, List, Optional, Set, Tuple
 
 from ..simkernel.rng import SeededStreams
 from .message import Envelope
@@ -29,9 +30,6 @@ class FaultStatistics:
     corrupted: int = 0
     delayed: int = 0
     blocked_by_crash: int = 0
-
-    def total(self) -> int:
-        return self.dropped + self.corrupted + self.delayed + self.blocked_by_crash
 
 
 #: The surgical fault kinds a :class:`FaultDirective` can describe.
@@ -130,6 +128,10 @@ class FaultPlan:
     it makes failure scenarios reproducible and targeted.
     """
 
+    #: Ring size of :attr:`log`: the most recent fault descriptions are
+    #: kept, while :attr:`stats` counts every fault of the run.
+    LOG_CAPACITY = 4096
+
     def __init__(self, streams: Optional[SeededStreams] = None,
                  drop_probability: float = 0.0,
                  corrupt_probability: float = 0.0) -> None:
@@ -146,18 +148,19 @@ class FaultPlan:
         self._crash_times: Dict[str, float] = {}
         self._restore_times: Dict[str, float] = {}
         self.stats = FaultStatistics()
-        self.log: List[str] = []
+        self.log: Deque[str] = deque(maxlen=self.LOG_CAPACITY)
         #: The surgical directives this plan was built from, in application
         #: order (probabilistic parameters are serialized separately).
         self.directives: List[FaultDirective] = []
-        #: True while the plan cannot affect any message, letting
-        #: :meth:`apply` take a constant-time fast path.  Every mutator
-        #: (including the probability property setters) refreshes it, so
-        #: faults added mid-run deactivate it.
-        self._passive = True
+        #: Link-indexed shortcut, kept current by every mutator so faults
+        #: added mid-run take effect at once: while ``_shortcut`` is set,
+        #: a message on a link outside ``_surgical_links`` (the links any
+        #: surgical directive names) is only counted, never touched.
+        self._shortcut = True
+        self._surgical_links: Set[Tuple[str, str]] = set()
         self.drop_probability = drop_probability
         self.corrupt_probability = corrupt_probability
-        self._refresh_passive()
+        self._refresh_shortcut()
 
     @property
     def drop_probability(self) -> float:
@@ -169,7 +172,7 @@ class FaultPlan:
         if not 0.0 <= value <= 1.0:
             raise ValueError("drop_probability must be in [0, 1]")
         self._drop_probability = value
-        self._refresh_passive()
+        self._refresh_shortcut()
 
     @property
     def corrupt_probability(self) -> float:
@@ -181,20 +184,18 @@ class FaultPlan:
         if not 0.0 <= value <= 1.0:
             raise ValueError("corrupt_probability must be in [0, 1]")
         self._corrupt_probability = value
-        self._refresh_passive()
+        self._refresh_shortcut()
 
-    def _refresh_passive(self) -> None:
-        """Recompute the fast-path flag after any plan mutation.
+    def _refresh_shortcut(self) -> None:
+        """Recompute the shortcut flag after a global-fault mutation.
 
-        Subclasses (tests build surgical plans by overriding ``apply`` or
-        the crash queries) are never passive: only an exact
-        :class:`FaultPlan` with no probabilities, directives or crashes is
-        guaranteed to leave every message untouched.
+        Only an exact :class:`FaultPlan` with no crash, timed crash or
+        drop/corrupt probability — faults that can touch any link — takes
+        the shortcut; subclasses (tests override ``apply`` or the crash
+        queries) never do.
         """
-        self._passive = type(self) is FaultPlan and not (
+        self._shortcut = type(self) is FaultPlan and not (
             self.drop_probability or self.corrupt_probability
-            or self._drop_nth or self._corrupt_nth or self._extra_delay
-            or self._type_delay or self._nth_delay
             or self._crashed_nodes or self._crash_times)
 
     # ------------------------------------------------------------------
@@ -207,7 +208,7 @@ class FaultPlan:
         self._drop_nth.setdefault((source, destination), set()).add(n)
         self.directives.append(FaultDirective(
             "drop_nth", source=source, destination=destination, n=n))
-        self._refresh_passive()
+        self._surgical_links.add((source, destination))
 
     def corrupt_nth_message(self, source: str, destination: str, n: int) -> None:
         """Corrupt the ``n``-th (1-based) message on the given link."""
@@ -216,7 +217,7 @@ class FaultPlan:
         self._corrupt_nth.setdefault((source, destination), set()).add(n)
         self.directives.append(FaultDirective(
             "corrupt_nth", source=source, destination=destination, n=n))
-        self._refresh_passive()
+        self._surgical_links.add((source, destination))
 
     def add_link_delay(self, source: str, destination: str, extra: float) -> None:
         """Add a fixed extra delay to every message on the given link."""
@@ -225,7 +226,7 @@ class FaultPlan:
         self._extra_delay[(source, destination)] = extra
         self.directives.append(FaultDirective(
             "delay_link", source=source, destination=destination, extra=extra))
-        self._refresh_passive()
+        self._surgical_links.add((source, destination))
 
     def delay_message_type(self, source: str, destination: str,
                            type_name: str, extra: float) -> None:
@@ -245,7 +246,7 @@ class FaultPlan:
         self.directives.append(FaultDirective(
             "delay_type", source=source, destination=destination,
             type_name=type_name, extra=extra))
-        self._refresh_passive()
+        self._surgical_links.add((source, destination))
 
     def delay_nth_message(self, source: str, destination: str, n: int,
                           extra: float) -> None:
@@ -258,7 +259,7 @@ class FaultPlan:
         self.directives.append(FaultDirective(
             "delay_nth", source=source, destination=destination, n=n,
             extra=extra))
-        self._refresh_passive()
+        self._surgical_links.add((source, destination))
 
     def crash_node(self, node: str, at_time: Optional[float] = None) -> None:
         """Mark a node as crashed (optionally from ``at_time`` onwards).
@@ -271,7 +272,7 @@ class FaultPlan:
             self._crash_times[node] = at_time
         self.directives.append(FaultDirective("crash", node=node,
                                               at_time=at_time))
-        self._refresh_passive()
+        self._refresh_shortcut()
 
     def restore_node(self, node: str,
                      at_time: Optional[float] = None) -> None:
@@ -296,7 +297,7 @@ class FaultPlan:
             self._restore_times[node] = at_time
         self.directives.append(FaultDirective("restore", node=node,
                                               at_time=at_time))
-        self._refresh_passive()
+        self._refresh_shortcut()
 
     def apply_directive(self, directive: FaultDirective) -> None:
         """Apply one :class:`FaultDirective` to this plan."""
@@ -377,8 +378,8 @@ class FaultPlan:
 
         The single owner of the per-link ordinals that the surgical
         ``*_nth`` directives key on: :meth:`apply` calls it for every
-        message, and the network's inline passive fast path calls it
-        directly, so the bookkeeping cannot diverge between the two.
+        message, and the network's inline shortcut calls it directly, so
+        the bookkeeping cannot diverge between the two.
         """
         count = self._link_counts.get(link, 0) + 1
         self._link_counts[link] = count
@@ -403,11 +404,10 @@ class FaultPlan:
         link = (envelope.source, envelope.destination)
         count = self.count_link(link)
 
-        if self._passive:
-            # The plan has no probabilities, directives or crashes that
-            # could touch this (or any) message.  The link count above is
-            # still maintained so a directive added mid-run sees the true
-            # message ordinals.
+        if self._shortcut and link not in self._surgical_links:
+            # No crash, probability or directive can touch a message on
+            # this link.  The link count above is still maintained so a
+            # directive added mid-run sees the true message ordinals.
             return True, 0.0
 
         if self.is_crashed(envelope.source, now) or self.is_crashed(

@@ -47,21 +47,6 @@ class MessageStatistics:
         self.by_type: Dict[str, int] = defaultdict(int)
         self.by_link: Dict[tuple, int] = defaultdict(int)
 
-    # NB: :meth:`Network.send` updates these counters inline (one method
-    # call per message was measurable); the record_* methods below are the
-    # reference implementation for external producers — keep the two in
-    # sync when changing the accounting.
-    def record_sent(self, envelope: Envelope) -> None:
-        self.sent += 1
-        self.by_type[type(envelope.payload).__name__] += 1
-        self.by_link[(envelope.source, envelope.destination)] += 1
-
-    def record_delivered(self, envelope: Envelope) -> None:
-        self.delivered += 1
-
-    def record_dropped(self, envelope: Envelope) -> None:
-        self.dropped += 1
-
     def count(self, *type_names: str) -> int:
         """Total number of sent messages whose payload type is in ``type_names``."""
         return sum(self.by_type.get(name, 0) for name in type_names)
@@ -198,7 +183,11 @@ class Network(Transport):
                            else deque(maxlen=self.TRACE_CAPACITY))
         #: The attached observation sink (``repro.obs``), or ``None`` when
         #: observability is off — the hot path then pays one None check.
+        #: It is attached before the first send and read at delivery.
         self._obs = None
+        #: The delivery callback, bound once: every delivery ``Timeout``
+        #: carries its envelope as the event value.
+        self._deliver_callback = self._deliver
 
     # ------------------------------------------------------------------
     # Topology
@@ -253,10 +242,11 @@ class Network(Transport):
             obs.message_sent(envelope)
 
         faults = self.faults
-        if faults._passive:
-            # FaultPlan.apply's fast path, minus the call: a passive plan
-            # can touch no message, but the link ordinals advance through
-            # the plan's own accessor so mid-run directives stay exact.
+        if faults._shortcut and link not in faults._surgical_links:
+            # FaultPlan.apply's link-indexed shortcut, minus the call: no
+            # fault can touch this message, but the link ordinals advance
+            # through the plan's own accessor so mid-run directives stay
+            # exact.
             faults.count_link(link)
             extra_delay = 0.0
         else:
@@ -289,21 +279,29 @@ class Network(Transport):
             deliver_at = 0.0
         self._link_clock[link] = deliver_at
         envelope.deliver_time = deliver_at
-
-        def _deliver(_event, env=envelope, obs=obs):
-            target = nodes.get(env.destination)
-            if target is None or not target.alive:
-                stats.dropped += 1
-                if obs is not None:
-                    obs.message_dropped(env, "dead_target")
-                return
-            stats.delivered += 1
-            if obs is not None:
-                obs.message_delivered(env)
-            target.deliver(env)
-
-        Timeout(kernel, deliver_at - now).callbacks.append(_deliver)
+        Timeout(kernel, deliver_at - now, envelope).callbacks.append(
+            self._deliver_callback)
         return envelope
+
+    def _deliver(self, event: Timeout) -> None:
+        """Place the envelope a delivery ``Timeout`` carries in its inbox.
+
+        Shared by every delivery of this network; the envelope goes in
+        one hop to the receiving node's inbox.
+        """
+        envelope = event._value
+        target = self.nodes.get(envelope.destination)
+        obs = self._obs
+        if target is None or not target.alive:
+            self.stats.dropped += 1
+            if obs is not None:
+                obs.message_dropped(envelope, "dead_target")
+            return
+        self.stats.delivered += 1
+        if obs is not None:
+            obs.message_delivered(envelope)
+        target.received.append(envelope)
+        target.inbox.deliver(envelope)
 
     def broadcast(self, source: str, destinations: Iterable[str],
                   payload: Any) -> List[Envelope]:
@@ -320,10 +318,6 @@ class Network(Transport):
         return envelopes
 
     # ------------------------------------------------------------------
-    def reset_statistics(self) -> None:
-        """Zero the message counters (used between benchmark phases)."""
-        self.stats.reset()
-
     def __repr__(self) -> str:
         return (f"<Network nodes={len(self.nodes)} latency={self.latency!r} "
                 f"sent={self.stats.sent}>")

@@ -44,6 +44,7 @@ class Node:
         #: the node can find it).
         self.services: Dict[str, Any] = {}
         #: Delivery log (envelopes received), useful for debugging/tests.
+        #: The network appends to it and fills :attr:`inbox` directly.
         #: Bounded for the same reason as ``Network.trace``: a debugging
         #: aid must not grow a long capacity run's memory.
         self.received: Deque[Envelope] = deque(maxlen=4096)
@@ -63,13 +64,6 @@ class Node:
         if self.network is None:
             raise RuntimeError(f"node {self.name!r} is not attached to a network")
         return self.network.send(self.name, destination, payload)
-
-    def deliver(self, envelope: Envelope) -> None:
-        """Called by the network to place a message in the inbox."""
-        if not self.alive:
-            return
-        self.received.append(envelope)
-        self.inbox.deliver(envelope)
 
     def crash(self) -> None:
         """Mark the node as crashed: no further delivery or sending."""

@@ -147,6 +147,7 @@ def run_node(host: str, port: int, scenario: str, node: str,
         steps += 1
     record = collect_record(built, local=node)
     record["finalize_steps"] = steps
+    record["clamps"] = network.clamp_snapshot()
     link.send({"kind": "final", "node": node, "record": record})
     # Leave the socket open briefly so the final frame flushes before the
     # process exits (the hub closes the connection once it has read it).

@@ -9,19 +9,20 @@ wire: the sender stamps the envelope with the virtual delivery time its
 latency model dictates, and the receiving process injects it no earlier
 than that virtual time (clamped to its local clock and per-link FIFO),
 so cross-process timing matches the sim schedule up to wall-clock
-jitter.
+jitter.  Every clamp is counted per link with its largest virtual-time
+error (:attr:`RealNetwork.clamps`), outside the message statistics.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Optional, Set
+from typing import Any, Callable, Dict, Iterable, Optional, Set, Tuple
 
 from ...simkernel.events import Timeout
 from ...simkernel.kernel import Kernel
 from ..faults import FaultPlan
 from ..latency import LatencyModel
 from ..message import Envelope
-from ..network import Network
+from ..network import MessageStatistics, Network
 
 #: forwarder(source, destination, payload, send_vt, deliver_vt)
 Forwarder = Callable[[str, str, Any, float, float], None]
@@ -37,6 +38,9 @@ class RealNetwork(Network):
         #: Node names whose delivery happens in this process.
         self.local: Set[str] = set(local)
         self._forward = forward
+        #: Wire deliveries moved later than the sender's stamp, per link:
+        #: ``(source, destination) -> (count, largest virtual-time error)``.
+        self.clamps: Dict[Tuple[str, str], Tuple[int, float]] = {}
 
     # ------------------------------------------------------------------
     def send(self, source: str, destination: str, payload: Any) -> Envelope:
@@ -66,7 +70,8 @@ class RealNetwork(Network):
 
         ``deliver_vt`` is the sender's virtual delivery time; it is
         clamped to this process's clock (wire latency may have outrun
-        the wall-clock pacing) and to per-link FIFO.
+        the wall-clock pacing) and to per-link FIFO.  A clamped delivery
+        is counted in :attr:`clamps`.
         """
         kernel = self.kernel
         now = kernel._now
@@ -76,21 +81,15 @@ class RealNetwork(Network):
         last = self._link_clock.get(link)
         if last is not None and deliver_at < last:
             deliver_at = last
+        if deliver_at > deliver_vt:
+            count, error = self.clamps.get(link, (0, 0.0))
+            self.clamps[link] = (count + 1, max(error, deliver_at - deliver_vt))
         self._link_clock[link] = deliver_at
         envelope.deliver_time = deliver_at
-        stats = self.stats
-        obs = self._obs
+        Timeout(kernel, deliver_at - now, envelope).callbacks.append(
+            self._deliver_callback)
 
-        def _deliver(_event, env=envelope):
-            target = self.nodes.get(env.destination)
-            if target is None or not target.alive:
-                stats.dropped += 1
-                if obs is not None:
-                    obs.message_dropped(env, "dead_target")
-                return
-            stats.delivered += 1
-            if obs is not None:
-                obs.message_delivered(env)
-            target.deliver(env)
-
-        Timeout(kernel, deliver_at - now).callbacks.append(_deliver)
+    def clamp_snapshot(self) -> Dict[str, Tuple[int, float]]:
+        """:attr:`clamps` keyed ``"src->dst"``, for a child's final record."""
+        return {MessageStatistics.encode_link(link): value
+                for link, value in self.clamps.items()}

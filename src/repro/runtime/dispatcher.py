@@ -25,7 +25,7 @@ from ..core.messages import (
     ProtocolMessage,
     ToBeSignalledMessage,
 )
-from ..simkernel.channels import Mailbox
+from ..simkernel.channels import Mailbox, StoreGet
 from ..simkernel.events import Event
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -67,7 +67,7 @@ class Dispatcher:
         inbox = self.partition.node.inbox
         dispatch_sync = self.dispatch_sync
         while True:
-            envelope = yield inbox.get()
+            envelope = yield StoreGet(inbox)
             pending = dispatch_sync(envelope.payload, envelope.corrupted)
             if pending is not None:
                 yield from pending

@@ -73,10 +73,8 @@ class Kernel:
         #: the seeded tie-key draw (``None`` keeps the constant 0.0 key).
         self._next_eid = self._eid.__next__
         self._active_process: Optional[Process] = None
-        self._tie_rng = (random.Random(tie_seed) if tie_seed is not None
-                         else None)
-        self._tie_random = (self._tie_rng.random
-                            if self._tie_rng is not None else None)
+        self._tie_random = (random.Random(tie_seed).random
+                            if tie_seed is not None else None)
         self.tie_seed = tie_seed
         #: Optional step hook called as ``tracer(when, priority, eid, event)``
         #: just before each event's callbacks run (used by the fault-space
@@ -157,11 +155,6 @@ class Kernel:
     def active_process(self) -> Optional[Process]:
         """The process currently being resumed, if any."""
         return self._active_process
-
-    @property
-    def tie_jitter_active(self) -> bool:
-        """True when same-(time, priority) ordering is seed-perturbed."""
-        return self._tie_rng is not None
 
     def peek(self) -> float:
         """Time of the next scheduled event, or +inf if the queue is empty."""

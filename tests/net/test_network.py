@@ -271,13 +271,6 @@ class TestStatistics:
         assert network.stats.delivered == 4
         assert network.stats.by_type["int"] == 4
 
-    def test_reset_statistics(self):
-        kernel, network, a, b = make_network()
-        a.send("B", 1)
-        kernel.run()
-        network.reset_statistics()
-        assert network.stats.sent == 0
-
     def test_snapshot_is_plain_dict(self):
         kernel, network, a, b = make_network()
         a.send("B", "x")
@@ -328,6 +321,17 @@ class TestStatistics:
         network.stats.restore(snapshot)
         assert network.stats.snapshot() == snapshot
         assert network.stats.by_link[("A", "B")] == 3
+
+    def test_restore_replaces_counters_gathered_since(self):
+        kernel, network, a, b = make_network()
+        a.send("B", 1)
+        kernel.run()
+        snapshot = network.stats.snapshot()
+        b.send("A", "later")
+        kernel.run()
+        network.stats.restore(snapshot)
+        assert network.stats.snapshot() == snapshot
+        assert ("B", "A") not in network.stats.by_link
 
     def test_snapshot_is_isolated_from_later_traffic(self):
         kernel, network, a, b = make_network()

@@ -88,3 +88,29 @@ class TestOptInRetention:
         system.partitions = {}
         text = canonical_trace(system)
         assert text.count("deliver=") == 10
+
+
+class TestFaultLogBound:
+    """``FaultPlan.log`` is a ring too; ``FaultPlan.stats`` counts it all."""
+
+    def test_long_lossy_run_keeps_the_log_at_capacity(self):
+        from repro.net.faults import FaultPlan
+        from repro.simkernel.rng import SeededStreams
+
+        plan = FaultPlan(streams=SeededStreams(7), drop_probability=0.5)
+        kernel, network = build_network(faults=plan)
+        total = FaultPlan.LOG_CAPACITY * 4
+        sent = [network.send("a", "b", i) for i in range(total)]
+        kernel.run()
+        draws = SeededStreams(7)
+        expected = sum(draws.random("drop") < 0.5 for _ in range(total))
+        assert expected > FaultPlan.LOG_CAPACITY
+        assert len(plan.log) == FaultPlan.LOG_CAPACITY
+        assert plan.stats.dropped == expected
+        assert network.stats.dropped == expected
+        assert network.stats.delivered == total - expected
+        # The ring holds the most recent faults, oldest first.
+        dropped = [env for env in sent if env.deliver_time is None]
+        recent = dropped[-FaultPlan.LOG_CAPACITY:]
+        assert list(plan.log) == [f"dropped {env!r} (probabilistic)"
+                                  for env in recent]
