@@ -20,9 +20,7 @@ Expected shape (asserted below):
 import pytest
 
 from repro.bench import (
-    FIGURE9_TABO_VALUES,
-    FIGURE9_TMMAX_VALUES,
-    FIGURE9_TRESO_VALUES,
+    FIGURE9_GRIDS,
     run_experiment1,
     sweep_figure9,
 )
@@ -108,9 +106,10 @@ def test_figure9_varying_treso(benchmark, report):
 @pytest.mark.benchmark(group="figure10")
 def test_figure10_message_cost_dominates(benchmark, report):
     """The Figure 10 conclusion: Tmmax has the steepest slope of the three."""
-    tmmax_rows = sweep_figure9("t_msg", values=FIGURE9_TMMAX_VALUES[:8])
-    tabo_rows = sweep_figure9("t_abort", values=FIGURE9_TABO_VALUES[:8])
-    treso_rows = sweep_figure9("t_resolution", values=FIGURE9_TRESO_VALUES[:8])
+    tmmax_rows = sweep_figure9("t_msg", values=FIGURE9_GRIDS["t_msg"][:8])
+    tabo_rows = sweep_figure9("t_abort", values=FIGURE9_GRIDS["t_abort"][:8])
+    treso_rows = sweep_figure9("t_resolution",
+                               values=FIGURE9_GRIDS["t_resolution"][:8])
 
     slope_tmmax = linear_fit(*series(tmmax_rows, "t_msg", "total_time"))["slope"]
     slope_tabo = linear_fit(*series(tabo_rows, "t_abort", "total_time"))["slope"]

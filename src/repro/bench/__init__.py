@@ -17,12 +17,7 @@ from .engine import (
     run_scenario,
 )
 from .harness import (
-    FIGURE12_TMMAX_VALUES,
-    FIGURE12_TRES_VALUES,
     FIGURE9_BASELINE,
-    FIGURE9_TABO_VALUES,
-    FIGURE9_TMMAX_VALUES,
-    FIGURE9_TRESO_VALUES,
     algorithm_comparison_table,
     capacity_table,
     churn_table,
@@ -77,13 +72,8 @@ __all__ = [
     "figure9_grid",
     "figure10_series",
     "figure13_series",
-    "FIGURE12_TMMAX_VALUES",
-    "FIGURE12_TRES_VALUES",
     "FIGURE9_BASELINE",
     "FIGURE9_GRIDS",
-    "FIGURE9_TABO_VALUES",
-    "FIGURE9_TMMAX_VALUES",
-    "FIGURE9_TRESO_VALUES",
     "format_table",
     "GRAPH_MICROBENCH_GRID",
     "graph_microbench_table",

@@ -34,7 +34,6 @@ from .engine import (
     EXPLORE_SEED,
     MIXED_TRAFFIC_GRID,
     FIGURE9_BASELINE,
-    FIGURE9_GRIDS,
     GRAPH_MICROBENCH_GRID,
     LARGE_N_GRID,
     FIGURE12_FIXED_TMMAX,
@@ -50,16 +49,6 @@ from .scenarios import (
     run_complexity_scenario,
     run_experiment1,
 )
-
-#: Parameter grids published in Figure 9 of the paper (legacy aliases of
-#: the engine's grids, kept because the benchmark suite imports them).
-FIGURE9_TMMAX_VALUES = list(FIGURE9_GRIDS["t_msg"])
-FIGURE9_TABO_VALUES = list(FIGURE9_GRIDS["t_abort"])
-FIGURE9_TRESO_VALUES = list(FIGURE9_GRIDS["t_resolution"])
-
-#: Parameter grids published in Figure 12.
-FIGURE12_TMMAX_VALUES = list(FIGURE12_TMMAX_GRID)
-FIGURE12_TRES_VALUES = list(FIGURE12_TRES_GRID)
 
 
 # ----------------------------------------------------------------------
@@ -104,7 +93,7 @@ def sweep_figure12_tmmax(values: Optional[Sequence[float]] = None,
                          iterations: int = 1,
                          parallel: bool = False) -> List[Dict[str, float]]:
     """Figure 12 left half: vary ``Tmmax`` at fixed ``Tres``."""
-    grid = list(values) if values is not None else FIGURE12_TMMAX_VALUES
+    grid = list(values) if values is not None else list(FIGURE12_TMMAX_GRID)
     points = [{"t_msg": t_msg, "t_resolution": t_resolution,
                "iterations": iterations} for t_msg in grid]
     return run_scenario("figure12_tmmax", points=points, parallel=parallel)
@@ -115,7 +104,7 @@ def sweep_figure12_tres(values: Optional[Sequence[float]] = None,
                         iterations: int = 1,
                         parallel: bool = False) -> List[Dict[str, float]]:
     """Figure 12 right half: vary ``Tres`` at fixed ``Tmmax``."""
-    grid = list(values) if values is not None else FIGURE12_TRES_VALUES
+    grid = list(values) if values is not None else list(FIGURE12_TRES_GRID)
     points = [{"t_res": t_res, "t_msg": t_msg, "iterations": iterations}
               for t_res in grid]
     return run_scenario("figure12_tres", points=points, parallel=parallel)

@@ -26,7 +26,7 @@ from .exceptions import (
     FAILURE,
     UNDO,
 )
-from .handlers import Handler, HandlerMap
+from .handlers import HandlerMap
 
 
 class ActionDefinitionError(ValueError):
@@ -52,10 +52,6 @@ class RoleDefinition:
     name: str
     body: Optional[Callable] = None
     handlers: HandlerMap = field(default_factory=HandlerMap)
-
-    def handler_for(self, exception: ExceptionDescriptor) -> Handler:
-        """Return the handler this role uses for ``exception``."""
-        return self.handlers.lookup(exception)
 
 
 class CAActionDefinition:

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set
 
+from ..obs.events import COORD_NOTE
 from . import effects as fx
 from .exceptions import ExceptionDescriptor, RaisedRecord
 from .messages import (
@@ -65,6 +66,9 @@ class CoordinatorBase:
     action support unchanged").
     """
 
+    trace = ()  # transitions are obs notes; benchmark tooling reads len()
+    _obs = None  # the attached SystemObservation, set by the partition
+
     def __init__(self, thread_id: str) -> None:
         self.thread_id = thread_id
         self.state = ThreadState.NORMAL
@@ -83,8 +87,6 @@ class CoordinatorBase:
         self.pending_abort_target: Optional[str] = None
         #: Resolving exception currently being handled, per action.
         self.handling: Dict[str, ExceptionDescriptor] = {}
-        #: Trace of state transitions for debugging and tests.
-        self.trace: List[str] = []
         #: Count of local invocations of the resolution procedure.
         self.resolution_calls = 0
 
@@ -253,19 +255,19 @@ class CoordinatorBase:
         """
         if self._message_staleness(message) == "stale":
             self._trace(f"drop stale {kind} message for {message.instance}")
-            return [fx.LogEvent(f"{self.thread_id} dropped stale {kind} "
-                                f"message for {message.instance}")]
+            return []
         target = self.sa.find(message.action)
         if target is not None and \
                 self._message_staleness(message, target) == "other":
             self.retained.append(message)
             self._trace(f"retain {kind} message for {message.instance}")
-            return [fx.LogEvent(f"{self.thread_id} retained {kind} message "
-                                f"for {message.instance}")]
+            return []
         return None
 
     def _trace(self, text: str) -> None:
-        self.trace.append(f"{self.thread_id}: {text}")
+        """Report a state transition as a ``coord.note`` obs event."""
+        if self._obs is not None:
+            self._obs.note(COORD_NOTE, self.thread_id, text)
 
     def _record(self, action: str, thread: str,
                 exception: Optional[ExceptionDescriptor],
@@ -332,15 +334,13 @@ class ResolutionCoordinator(CoordinatorBase):
             # The instance this message belongs to has already ended here;
             # retaining it would leak it (or poison a later instance).
             self._trace(f"drop stale message for {message.instance}")
-            return [fx.LogEvent(f"{self.thread_id} dropped stale message "
-                             f"for {message.instance}")]
+            return []
 
         if context is None or not self.sa.contains(target_action):
             # "retain the Exception or Suspended message till Ti enters A*"
             self.retained.append(message)
             self._trace(f"retain message for {target_action}")
-            return [fx.LogEvent(f"{self.thread_id} retained message for "
-                             f"{target_action}")]
+            return []
 
         target_context = self.sa.find(target_action)
         if self._message_staleness(message, target_context) == "other":
@@ -349,8 +349,7 @@ class ResolutionCoordinator(CoordinatorBase):
             # park it for that instance.
             self.retained.append(message)
             self._trace(f"retain message for {message.instance}")
-            return [fx.LogEvent(f"{self.thread_id} retained message for "
-                             f"{message.instance}")]
+            return []
 
         exception = (message.exception
                      if isinstance(message, ExceptionMessage) else None)
@@ -386,22 +385,19 @@ class ResolutionCoordinator(CoordinatorBase):
         context = self.active_context()
         if self._message_staleness(message) == "stale":
             self._trace(f"drop stale Commit for {message.instance}")
-            return [fx.LogEvent(f"{self.thread_id} dropped stale Commit "
-                             f"for {message.instance}")]
+            return []
         if context is None or not self.sa.contains(message.action):
             # The action was never entered or has already ended on this
             # thread; a Commit for it is stale and safe to drop.
             self._trace(f"ignore Commit for {message.action}")
-            return [fx.LogEvent(f"{self.thread_id} ignored Commit for "
-                             f"{message.action}")]
+            return []
         if self._message_staleness(message,
                                    self.sa.find(message.action)) == "other":
             # A Commit stamped for a different, not-yet-finished occurrence
             # of this action name: park it for that instance.
             self.retained.append(message)
             self._trace(f"retain Commit for {message.instance}")
-            return [fx.LogEvent(f"{self.thread_id} retained Commit for "
-                             f"{message.instance}")]
+            return []
         if context.action != message.action:
             # The action is on the stack but not active — e.g. the Commit
             # arrived while this thread is still aborting nested actions
@@ -411,8 +407,7 @@ class ResolutionCoordinator(CoordinatorBase):
             # action becomes active again (see abortion_completed).
             self.retained.append(message)
             self._trace(f"retain Commit for {message.action}")
-            return [fx.LogEvent(f"{self.thread_id} retained Commit for "
-                             f"{message.action}")]
+            return []
         if self.pending_abort_target is not None:
             # The Commit is for the active action, but that action is being
             # aborted by an enclosing exception: the resolution it announces
@@ -421,8 +416,7 @@ class ResolutionCoordinator(CoordinatorBase):
             # except <A*, Tj, Ej>"), and wiping them would lose the very
             # exception the abortion is resolving.
             self._trace(f"ignore Commit for aborting {message.action}")
-            return [fx.LogEvent(f"{self.thread_id} ignored Commit for "
-                             f"aborting {message.action}")]
+            return []
         self.le.clear()
         self.handling[message.action] = message.exception
         self._trace(f"commit {message.exception.name} in {message.action}")

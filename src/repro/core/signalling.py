@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from ..obs.events import SIGNAL_NOTE
 from .effects import Effect, LogEvent, SendTo
 from .exceptions import (
     ExceptionDescriptor,
@@ -70,6 +71,9 @@ class SignalCoordinator:
     :class:`SignalOutcome` effect is eventually produced.
     """
 
+    trace = ()  # transitions are obs notes; benchmark tooling reads len()
+    _obs = None  # the attached SystemObservation, set by the life-cycle
+
     def __init__(self, thread_id: str, context: ActionContext) -> None:
         self.thread_id = thread_id
         self.context = context
@@ -80,7 +84,6 @@ class SignalCoordinator:
         self.proposals: Dict[str, ExceptionDescriptor] = {}
         self._own_proposal: Optional[ExceptionDescriptor] = None
         self.messages_sent = 0
-        self.trace: List[str] = []
 
     # ------------------------------------------------------------------
     def propose(self, exception: Optional[ExceptionDescriptor]) -> List[Effect]:
@@ -96,7 +99,7 @@ class SignalCoordinator:
         proposal = exception if exception is not None else NO_EXCEPTION
         self._own_proposal = proposal
         self.proposals[self.thread_id] = proposal
-        self.trace.append(f"propose {proposal.name} (round {self.round_number})")
+        self._trace(f"propose {proposal.name} (round {self.round_number})")
 
         others = self.context.others(self.thread_id)
         self.messages_sent += len(others)
@@ -132,7 +135,7 @@ class SignalCoordinator:
                                       message.exception)
             return []
         self.proposals[message.thread] = message.exception
-        self.trace.append(f"recv {message.exception.name} from {message.thread}")
+        self._trace(f"recv {message.exception.name} from {message.thread}")
         return self._maybe_decide()
 
     def peer_failed(self, thread: str) -> List[Effect]:
@@ -142,7 +145,7 @@ class SignalCoordinator:
         failure exception and ƒ is then recorded in listSignal_i."
         """
         self.proposals[thread] = FAILURE
-        self.trace.append(f"peer {thread} treated as failure")
+        self._trace(f"peer {thread} treated as failure")
         return self._maybe_decide()
 
     def undo_completed(self, successful: bool) -> List[Effect]:
@@ -157,6 +160,11 @@ class SignalCoordinator:
         return self.propose(UNDO if successful else FAILURE)
 
     # ------------------------------------------------------------------
+    def _trace(self, text: str) -> None:
+        """Report a state transition as a ``signal.note`` obs event."""
+        if self._obs is not None:
+            self._obs.note(SIGNAL_NOTE, self.thread_id, text)
+
     @property
     def complete(self) -> bool:
         """True once every participant's proposal for this round is known."""
@@ -184,7 +192,7 @@ class SignalCoordinator:
 
     def _decide(self, exception: ExceptionDescriptor) -> List[Effect]:
         self.decided = exception
-        self.trace.append(f"decide {exception.name}")
+        self._trace(f"decide {exception.name}")
         return [SignalOutcome(self.context.action, exception)]
 
     def _enter_undo_round(self) -> List[Effect]:
@@ -195,5 +203,5 @@ class SignalCoordinator:
                  for key, value in self.proposals.items()
                  if key.startswith("_early:")}
         self.proposals = dict(early)
-        self.trace.append("enter undo round")
+        self._trace("enter undo round")
         return [PerformUndo(self.context.action)]

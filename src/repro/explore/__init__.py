@@ -43,7 +43,7 @@ from .mutate import PlanMutator
 from .plan import ExplorationPlan
 from .shrink import ShrinkResult, shrink_plan, to_pytest_source
 from .targets import TARGETS, ExplorationTarget
-from .trace import TraceRecorder, canonical_trace, trace_digest
+from .trace import canonical_trace, observe_for_trace, trace_digest
 
 __all__ = [
     "CaseResult",
@@ -60,8 +60,8 @@ __all__ = [
     "PlanMutator",
     "ShrinkResult",
     "TARGETS",
-    "TraceRecorder",
     "canonical_trace",
+    "observe_for_trace",
     "run_case",
     "run_plans_chunk",
     "shrink_plan",

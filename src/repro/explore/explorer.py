@@ -16,14 +16,13 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
-from .. import obs
 from ..core import oracles
 from ..core.oracles import OracleViolation
 from .generator import DEFAULT_KINDS, FaultPlanGenerator
 from .monitor import InvariantMonitor
 from .plan import ExplorationPlan
 from .targets import ExplorationTarget, get_target
-from .trace import TraceRecorder, canonical_trace, trace_digest
+from .trace import canonical_trace, observe_for_trace, trace_digest
 
 
 @dataclass
@@ -56,18 +55,12 @@ class CaseResult:
 
 def _execute(target: ExplorationTarget, plan: ExplorationPlan,
              algorithm: str, record_trace: bool = True):
-    """One run; returns ``(system, monitor, recorder, observation, error)``."""
+    """One run; returns ``(system, monitor, observation, error)``."""
     system = target.build(plan.make_fault_plan(), tie_seed=plan.tie_seed,
                           algorithm=algorithm)
     monitor = InvariantMonitor(system)
-    recorder = TraceRecorder(system) if record_trace else None
-    # Always-on flight recorder: a bounded ring (no unbounded event list,
-    # no metrics) so every failing case ships its terminal event window.
-    # An ambient obs.capture() has already attached a (richer) observation
-    # in the system constructor; reuse it rather than displacing it.
-    observation = system.observation
-    if observation is None:
-        observation = obs.observe_system(system, obs.ObsConfig.flight_only())
+    observation = (observe_for_trace(system) if record_trace
+                   else system.observation)
     error: Optional[str] = None
     try:
         # Run to queue exhaustion rather than ``run_to_completion``: a
@@ -76,7 +69,7 @@ def _execute(target: ExplorationTarget, plan: ExplorationPlan,
         system.run()
     except Exception as exc:  # noqa: BLE001 — anything the sim surfaces
         error = f"{type(exc).__name__}: {exc}"
-    return system, monitor, recorder, observation, error
+    return system, monitor, observation, error
 
 
 def run_case(target, plan: ExplorationPlan, algorithm: str = "ours",
@@ -91,7 +84,7 @@ def run_case(target, plan: ExplorationPlan, algorithm: str = "ours",
     are only required of delivery-preserving plans.
     """
     resolved_target = get_target(target)
-    system, monitor, recorder, observation, error = _execute(
+    system, monitor, observation, error = _execute(
         resolved_target, plan, algorithm)
     require_liveness = plan.preserves_delivery and error is None
     violations = monitor.check(require_liveness=require_liveness)
@@ -105,10 +98,10 @@ def run_case(target, plan: ExplorationPlan, algorithm: str = "ours",
 
     if plan.preserves_delivery and error is None:
         for baseline in baselines:
-            # Only the resolved map is compared; skip the trace recorder.
-            _, base_monitor, _, _, base_error = _execute(resolved_target,
-                                                         plan, baseline,
-                                                         record_trace=False)
+            # Only the resolved map is compared; skip the trace.
+            _, base_monitor, _, base_error = _execute(resolved_target,
+                                                      plan, baseline,
+                                                      record_trace=False)
             if base_error is not None:
                 violations.append(OracleViolation(
                     oracles.DIFFERENTIAL_AGREEMENT,
@@ -118,7 +111,7 @@ def run_case(target, plan: ExplorationPlan, algorithm: str = "ours",
                 monitor.resolved_map, base_monitor.resolved_map,
                 algorithm, baseline))
 
-    digest = trace_digest(canonical_trace(system, recorder))
+    digest = trace_digest(canonical_trace(system))
     # Auto-dump the flight recorder for any failing case — oracle
     # violation or crash — so the failure carries its event timeline.
     flight = None

@@ -4,11 +4,15 @@ A run's canonical trace is a plain-text rendering of everything observable
 about it, built only from per-run data (notably *not* from
 ``Envelope.sequence``, which is a process-global counter):
 
-* every kernel step: ``(virtual time, priority, event id, event type)`` —
-  recorded through the kernel's tracer hook;
-* every envelope in send order: timing, link, payload, fate;
-* every coordinator state transition (the per-thread ``trace`` lists);
-* the final message-statistics snapshot.
+* **kernel** — every scheduler step, from ``kernel.step`` obs events;
+* **network** — every envelope in send order (timing, link, payload
+  repr, fate), from :attr:`Network.trace`;
+* **coordinators** — every resolution-coordinator transition, from
+  ``coord.note`` obs events, grouped by thread in partition order;
+* **statistics** — the final :class:`MessageStatistics` snapshot.
+
+:func:`observe_for_trace` attaches the observation the obs-rendered
+sections need; without an event list :func:`canonical_trace` raises.
 
 Two runs of the same ``(target, plan)`` must produce byte-identical
 canonical traces; :func:`trace_digest` hashes them so sweeps can compare
@@ -20,39 +24,29 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import List, Optional, Tuple
+from typing import Dict, List
 
+from .. import obs
 from ..net.message import Envelope
+from ..obs.events import COORD_NOTE, KERNEL_STEP
 from ..runtime.system import DistributedCASystem
 
+#: A traced run's observation: events, kernel steps and the flight ring.
+TRACE_CONFIG = obs.ObsConfig(metrics=False, kernel_steps=True)
 
-class TraceRecorder:
-    """Records kernel steps through :attr:`Kernel.tracer`.
 
-    Attach before the run starts; the recorder only keeps cheap tuples.
+def observe_for_trace(system: DistributedCASystem) -> obs.SystemObservation:
+    """Attach the observation :func:`canonical_trace` reads (once, pre-run).
+
+    An ambient ``obs.capture()`` observation is reused; the kernel-step
+    hook is added only when that capture does not record steps itself.
     """
-
-    def __init__(self, system: DistributedCASystem,
-                 max_steps: int = 1_000_000) -> None:
-        self.system = system
-        self.steps: List[Tuple[float, int, int, str]] = []
-        self.truncated = False
-        self._max_steps = max_steps
-        system.kernel.tracer = self._on_step
-
-    def _on_step(self, when: float, priority: int, eid: int, event) -> None:
-        if len(self.steps) >= self._max_steps:
-            self.truncated = True
-            return
-        self.steps.append((when, priority, eid, type(event).__name__))
-
-    # ------------------------------------------------------------------
-    def kernel_section(self) -> List[str]:
-        lines = [f"{when:.9f} p{priority} e{eid} {name}"
-                 for when, priority, eid, name in self.steps]
-        if self.truncated:
-            lines.append("...truncated...")
-        return lines
+    observation = system.observation
+    if observation is None:
+        return obs.observe_system(system, TRACE_CONFIG)
+    if not observation.config.kernel_steps:
+        system.kernel.add_tracer(observation.kernel_step)
+    return observation
 
 
 def _envelope_line(index: int, envelope: Envelope) -> str:
@@ -64,13 +58,24 @@ def _envelope_line(index: int, envelope: Envelope) -> str:
             f"{envelope.payload!r} deliver={deliver}{corrupted}")
 
 
-def canonical_trace(system: DistributedCASystem,
-                    recorder: Optional[TraceRecorder] = None) -> str:
+def canonical_trace(system: DistributedCASystem) -> str:
     """The run's canonical plain-text trace (see module docstring)."""
-    sections: List[str] = []
-    if recorder is not None:
-        sections.append("== kernel ==")
-        sections.extend(recorder.kernel_section())
+    observation = system.observation
+    events = observation.events if observation is not None else None
+    if events is None:
+        raise RuntimeError(
+            "canonical_trace renders obs events: observe the system with "
+            "an event list (see observe_for_trace)")
+    sections: List[str] = ["== kernel =="]
+    notes: Dict[str, List[str]] = {}
+    for event in events:
+        kind = event["kind"]
+        if kind == KERNEL_STEP:
+            sections.append(f"{event['t']:.9f} p{event['priority']} "
+                            f"e{event['eid']} {event['event']}")
+        elif kind == COORD_NOTE:
+            thread = event["thread"]
+            notes.setdefault(thread, []).append(f"{thread}: {event['text']}")
     sections.append("== network ==")
     network = system.network
     if not getattr(network, "keep_trace", True) \
@@ -85,7 +90,7 @@ def canonical_trace(system: DistributedCASystem,
                     for i, envelope in enumerate(network.trace))
     sections.append("== coordinators ==")
     for name in sorted(system.partitions):
-        sections.extend(system.partitions[name].coordinator.trace)
+        sections.extend(notes.get(name, ()))
     sections.append("== statistics ==")
     sections.append(json.dumps(system.network.stats.snapshot(),
                                sort_keys=True))

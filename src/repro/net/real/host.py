@@ -95,25 +95,31 @@ def run_node(host: str, port: int, scenario: str, node: str,
 
     link.send({"kind": "hello", "node": node})
 
-    # Hold the kernel until every node is connected, so no early message
-    # races another child's registration at the hub.
-    started = False
-    while not started and not link.closed:
-        for frame in link.poll(_POLL):
-            if frame.get("kind") == "start":
-                started = True
+    started = finalizing = False
 
-    start_wall = time.monotonic()
-    done_sent = False
-    finalizing = False
-    while started and not finalizing and not link.closed:
-        for frame in link.poll(0):
+    def pump(timeout: float) -> None:
+        """Handle every frame arriving within ``timeout`` seconds — also
+        at the start barrier, where a ``msg`` may share ``start``'s chunk."""
+        nonlocal started, finalizing
+        for frame in link.poll(timeout):
             kind = frame.get("kind")
             if kind == "msg":
                 network.inject(frame["src"], frame["dst"],
                                frame["payload"], frame["deliver_vt"])
+            elif kind == "start":
+                started = True
             elif kind == "finalize":
                 finalizing = True
+
+    # Hold the kernel until every node is connected, so no early message
+    # races another child's registration at the hub.
+    while not started and not link.closed:
+        pump(_POLL)
+
+    start_wall = time.monotonic()
+    done_sent = False
+    while started and not link.closed:
+        pump(0)
         if finalizing:
             break
         if not done_sent and _programs_finished(system):
@@ -122,21 +128,11 @@ def run_node(host: str, port: int, scenario: str, node: str,
         next_vt = kernel.peek()
         if next_vt == float("inf"):
             # Nothing scheduled locally: wait for the wire.
-            for frame in link.poll(_POLL):
-                if frame.get("kind") == "msg":
-                    network.inject(frame["src"], frame["dst"],
-                                   frame["payload"], frame["deliver_vt"])
-                elif frame.get("kind") == "finalize":
-                    finalizing = True
+            pump(_POLL)
             continue
         wait = start_wall + next_vt * time_scale - time.monotonic()
         if wait > 0:
-            for frame in link.poll(min(wait, _POLL)):
-                if frame.get("kind") == "msg":
-                    network.inject(frame["src"], frame["dst"],
-                                   frame["payload"], frame["deliver_vt"])
-                elif frame.get("kind") == "finalize":
-                    finalizing = True
+            pump(min(wait, _POLL))
             continue
         kernel.step()
 

@@ -20,8 +20,8 @@ Two ways to turn it on:
       cap.write_chrome_trace("capacity.trace.json")
 
 * **Direct** — :func:`observe_system` attaches one observation to an
-  already-built system (the explorer does this for its always-on
-  flight recorder).
+  already-built system (the explorer does this for the event list its
+  canonical traces are rendered from).
 
 When nothing is captured, the module is a strict no-op: systems carry
 ``observation = None``, every instrumentation site short-circuits on
@@ -105,6 +105,9 @@ def _attach(system: "DistributedCASystem",
     locks = getattr(system.transactions, "locks", None)
     if locks is not None:
         locks._obs = observation
+    # Partitions built from here on take it from the system themselves.
+    for partition in system.partitions.values():
+        partition.coordinator._obs = observation
     if observation.config.kernel_steps:
         system.kernel.add_tracer(observation.kernel_step)
 

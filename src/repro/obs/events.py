@@ -7,7 +7,7 @@ constants below) — plus kind-specific fields.  Plain dicts keep the hot
 path allocation-cheap, make JSONL export trivial, and survive pickling
 unchanged.
 
-Kinds are dotted ``layer.verb`` strings grouped into four categories:
+Kinds are dotted ``layer.verb`` strings grouped into six categories:
 
 ========== =====================================================
 category   kinds
@@ -22,8 +22,12 @@ workload   ``job.submitted`` ``job.dispatched`` ``job.completed``
            ``admission.dropped``
 objects    ``lock.granted`` ``lock.waiting`` ``lock.deadlock``
            ``lock.released``
+note       ``coord.note`` ``signal.note`` ``partition.note``
 kernel     ``kernel.step`` (opt-in; one record per scheduler step)
 ========== =====================================================
+
+Notes carry ``thread`` and ``text``: a coordinator or signalling transition,
+or a partition remark; canonical explorer traces render ``coord.note``.
 
 Life-cycle kinds are derived mechanically from the runtime's probe
 names (``system.probe("entered", ...)`` becomes ``action.entered``);
@@ -67,6 +71,11 @@ LOCK_WAITING = "lock.waiting"
 LOCK_DEADLOCK = "lock.deadlock"
 LOCK_RELEASED = "lock.released"
 
+# --- per-thread diagnostics (coordinators and partitions) ------------
+COORD_NOTE = "coord.note"
+SIGNAL_NOTE = "signal.note"
+PARTITION_NOTE = "partition.note"
+
 # --- scheduler (opt-in, high volume) ----------------------------------
 KERNEL_STEP = "kernel.step"
 
@@ -100,6 +109,8 @@ for _kind in (JOB_SUBMITTED, JOB_DISPATCHED, JOB_COMPLETED, JOB_DROPPED,
     CATEGORIES[_kind] = "workload"
 for _kind in (LOCK_GRANTED, LOCK_WAITING, LOCK_DEADLOCK, LOCK_RELEASED):
     CATEGORIES[_kind] = "objects"
+for _kind in (COORD_NOTE, SIGNAL_NOTE, PARTITION_NOTE):
+    CATEGORIES[_kind] = "note"
 CATEGORIES[KERNEL_STEP] = "kernel"
 del _kind
 

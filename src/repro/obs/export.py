@@ -198,6 +198,9 @@ def chrome_trace(events: List[Dict[str, Any]],
         elif cat == "objects":
             trace.append(_instant(kind, event["t"], track(OBJECTS_TRACK),
                                   args))
+        elif cat == "note":
+            trace.append(_instant(kind, event["t"], track(event["thread"]),
+                                  args))
         else:  # workload + unknown probes
             trace.append(_instant(kind, event["t"], track(WORKLOAD_TRACK),
                                   args))

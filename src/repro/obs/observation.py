@@ -247,6 +247,14 @@ class SystemObservation:
             metrics.timeline.maybe_sample(self._kernel.now)
 
     # ------------------------------------------------------------------
+    # Per-thread notes (core/{resolution,signalling}.py, runtime/)
+    # ------------------------------------------------------------------
+    def note(self, kind: str, thread: str, text: str) -> None:
+        """One diagnostic line: a ``coord``/``signal``/``partition.note``."""
+        self._emit({"t": self._kernel.now, "kind": kind, "thread": thread,
+                    "text": text})
+
+    # ------------------------------------------------------------------
     # Scheduler steps (simkernel/kernel.py, opt-in)
     # ------------------------------------------------------------------
     def kernel_step(self, when: float, priority: int, eid: int,

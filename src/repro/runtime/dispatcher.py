@@ -111,7 +111,7 @@ class Dispatcher:
             return None
         if isinstance(payload, ToBeSignalledMessage):
             if corrupted:
-                partition.log.append(
+                partition.note(
                     f"corrupted toBeSignalled from {payload.thread} "
                     f"for {payload.action}: treated as ƒ")
                 payload = ToBeSignalledMessage(payload.action, payload.thread,
@@ -130,7 +130,7 @@ class Dispatcher:
         rpc = partition.node.services.get("rpc")
         if rpc is not None and rpc.handle_payload(payload):
             return None
-        partition.log.append(f"unhandled payload {payload!r}")
+        partition.warn(f"unhandled payload {payload!r}")
         return None
 
     # ------------------------------------------------------------------
@@ -272,8 +272,6 @@ class Dispatcher:
                     message.instance in partition.coordinator.finished_instances:
                 # The instance already ended here; parking the proposal
                 # would keep it (and its key) forever.
-                partition.log.append(
-                    f"dropped stale toBeSignalled for {message.instance}")
                 if partition.system.probes:
                     partition.system.probe(
                         "signal_stale_dropped", thread=partition.name,

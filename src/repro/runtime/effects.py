@@ -85,7 +85,7 @@ class PartitionEffectInterpreter(fx.EffectInterpreter):
         partition = self.partition
         frame = partition.find_frame(effect.action)
         if frame is None:
-            partition.log.append(f"resolution for unknown frame {effect.action}")
+            partition.warn(f"resolution for unknown frame {effect.action}")
             return
         frame.exception_mode = True
         frame.resolved = effect.exception
@@ -126,10 +126,10 @@ class PartitionEffectInterpreter(fx.EffectInterpreter):
             yield from self.execute(effects)
 
     def on_log_event(self, effect: fx.LogEvent) -> None:
-        self.partition.log.append(effect.text)
+        self.partition.note(effect.text)
 
     def on_unknown(self, effect: fx.Effect) -> None:  # pragma: no cover
-        self.partition.log.append(f"unknown effect {effect!r}")
+        self.partition.warn(f"unknown effect {effect!r}")
 
     # ------------------------------------------------------------------
     # Thread interruption (the ATC analogue)

@@ -70,10 +70,6 @@ class ActionFrame:
     #: External-object exceptions already notified (deduplication).
     informed: Set[str] = field(default_factory=set)
 
-    @property
-    def parent_action(self) -> Optional[str]:
-        return self.parent.action if self.parent is not None else None
-
 
 class FrameStack:
     """The stack of active action frames of one thread.

@@ -415,6 +415,7 @@ class ActionLifecycle:
         frame.signal_event = partition.kernel.event()
         frame.signal_coordinator = SignalCoordinator(partition.name,
                                                      frame.context)
+        frame.signal_coordinator._obs = partition.system.observation
         # Replay signalling messages that arrived before this phase started
         # (instance-stamped ones park under the instance key, legacy ones
         # under the action name).

@@ -23,10 +23,12 @@ stack, pending abort) and wires the subsystems together.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, TYPE_CHECKING
+import logging
+from typing import Any, Optional, TYPE_CHECKING
 
 from ..core.messages import ApplicationMessage
 from ..core.resolution import CoordinatorBase
+from ..obs.events import PARTITION_NOTE
 from ..simkernel.process import Process
 from .context import ProgramContext
 from .dispatcher import Dispatcher
@@ -38,6 +40,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from .system import DistributedCASystem
 
 __all__ = ["ActionFrame", "Partition", "PendingAbort"]
+
+logger = logging.getLogger(__name__)
 
 
 class Partition:
@@ -59,6 +63,7 @@ class Partition:
             name, buffer_capacity=system.config.buffer_capacity)
         self.node.services["partition"] = self
         self.coordinator: CoordinatorBase = system.config.make_coordinator(name)
+        self.coordinator._obs = system.observation
 
         #: Shared per-thread state, mutated by all three subsystems.
         self.status = "idle"
@@ -66,7 +71,6 @@ class Partition:
         self.pending_abort: Optional[PendingAbort] = None
         self.interrupt_requested = False
         self.frames = FrameStack()
-        self.log: List[str] = []
 
         #: The layered subsystems (see the module docstring).
         self.interpreter = PartitionEffectInterpreter(self)
@@ -114,6 +118,16 @@ class Partition:
     def execute_nested(self, parent_frame: ActionFrame, action: str, role: str):
         """Perform a nested action from within ``parent_frame``."""
         return self.lifecycle.execute_nested(parent_frame, action, role)
+
+    def note(self, text: str) -> None:
+        """Record a diagnostic line as a ``partition.note`` obs event."""
+        if self.system.observation is not None:
+            self.system.observation.note(PARTITION_NOTE, self.name, text)
+
+    def warn(self, text: str) -> None:
+        """An anomaly: logged as a warning (observed or not), and noted."""
+        logger.warning("%s: %s", self.name, text)
+        self.note(text)
 
     def find_frame(self, action: str) -> Optional[ActionFrame]:
         """The innermost frame executing ``action`` (by name or instance key)."""

@@ -77,8 +77,8 @@ class Kernel:
                             if tie_seed is not None else None)
         self.tie_seed = tie_seed
         #: Optional step hook called as ``tracer(when, priority, eid, event)``
-        #: just before each event's callbacks run (used by the fault-space
-        #: explorer's trace recorder; must itself be deterministic).  A hook
+        #: just before each event's callbacks run (used by obs kernel-step
+        #: recording; must itself be deterministic).  A hook
         #: that raises is logged and disabled — it never kills the run (and
         #: never defuses the traced event).  Assign directly for one hook, or
         #: use :meth:`add_tracer`/:meth:`remove_tracer` to chain several.

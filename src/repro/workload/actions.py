@@ -25,7 +25,6 @@ from ..core.action import CAActionDefinition, RoleDefinition
 from ..core.exception_graph import generate_full_graph
 from ..core.exceptions import ExceptionDescriptor, internal
 from ..core.handlers import HandlerMap, HandlerResult
-from ..core.registry import ParamSpec, params_from_dataclass
 from ..simkernel.rng import SeededStreams
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -111,11 +110,6 @@ class TrafficActionSpec:
         :class:`repro.workload.transactional.TransactionalActionSpec`.
         """
         return build_traffic_action(self, driver)
-
-    @classmethod
-    def declared_params(cls) -> Tuple[ParamSpec, ...]:
-        """The overridable fields, as declared-parameter specs."""
-        return params_from_dataclass(cls, skip=("name",))
 
 
 def build_traffic_action(spec: TrafficActionSpec,

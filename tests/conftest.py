@@ -73,6 +73,12 @@ def protocol_driver_factory():
 # ----------------------------------------------------------------------
 # Small runtime-system builders
 # ----------------------------------------------------------------------
+def partition_notes(system: DistributedCASystem, thread: str) -> List[str]:
+    """Texts of one thread's ``partition.note`` events (system observed)."""
+    return [event["text"] for event in system.observation.events
+            if event["kind"] == "partition.note" and event["thread"] == thread]
+
+
 def make_simple_system(n_threads: int = 2, latency: float = 0.05,
                        algorithm: str = "ours",
                        resolution_time: float = 0.0,

@@ -29,8 +29,7 @@ def _legacy_receive_commit(self, message):
     context = self.active_context()
     if context is None or context.action != message.action:
         self._trace(f"ignore Commit for {message.action}")
-        return [fx.LogEvent(f"{self.thread_id} ignored Commit for "
-                            f"{message.action}")]
+        return []
     self.le.clear()
     self.handling[message.action] = message.exception
     self._trace(f"commit {message.exception.name} in {message.action}")

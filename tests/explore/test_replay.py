@@ -3,7 +3,8 @@
 from repro.bench.engine import run_scenario
 from repro.explore import ExplorationPlan, run_case
 from repro.explore.targets import get_target
-from repro.explore.trace import TraceRecorder, canonical_trace, trace_digest
+from repro.explore.trace import (canonical_trace, observe_for_trace,
+                                 trace_digest)
 from repro.net.faults import FaultDirective
 
 RACE_PLAN = ExplorationPlan(directives=(
@@ -14,9 +15,9 @@ RACE_PLAN = ExplorationPlan(directives=(
 def _run_once(plan, target="nested_abort"):
     system = get_target(target).build(plan.make_fault_plan(),
                                       tie_seed=plan.tie_seed)
-    recorder = TraceRecorder(system)
+    observe_for_trace(system)
     system.run()
-    return canonical_trace(system, recorder), system.network.stats.snapshot()
+    return canonical_trace(system), system.network.stats.snapshot()
 
 
 class TestByteIdenticalReplay:

@@ -19,6 +19,7 @@ and retires finished/abandoned instances, so stale messages are dropped
 on arrival (or at replay) instead of retained.
 """
 
+from repro import obs
 from repro.core.resolution import ResolutionCoordinator
 from repro.core.state import ActionContext
 from repro.core.messages import ExceptionMessage, SuspendedMessage
@@ -27,6 +28,7 @@ from repro.core.exceptions import internal
 from repro.explore import ExplorationPlan, run_case
 from repro.explore.targets import get_target
 from repro.net.faults import FaultDirective
+from repro.runtime.system import DistributedCASystem
 
 
 def _plan(*directives):
@@ -76,11 +78,17 @@ class TestCoordinatorInstanceTracking:
 
     def test_message_for_finished_instance_is_dropped(self):
         coordinator, _ = self._coordinator_in("A#1")
+        observation = obs.SystemObservation(DistributedCASystem(),
+                                            obs.ObsConfig(metrics=False))
+        coordinator._obs = observation
         coordinator.leave_action("A")
         coordinator.receive(ExceptionMessage("A", "T2", internal("e"),
                                              instance="A#1"))
         assert coordinator.retained == []
-        assert any("stale" in line for line in coordinator.trace)
+        notes = [event["text"] for event in observation.events
+                 if event["kind"] == "coord.note"
+                 and event["thread"] == "T1"]
+        assert any("stale" in text for text in notes)
 
     def test_leave_action_preserves_future_instance_messages(self):
         # A message parked for a future occurrence (the peer already

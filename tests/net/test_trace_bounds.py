@@ -10,6 +10,8 @@ ring rather than producing a silently wrong digest.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.net.latency import ConstantLatency
@@ -23,6 +25,12 @@ def build_network(**kwargs):
     network.add_node("a")
     network.add_node("b")
     return kernel, network
+
+
+def _bare_system(network):
+    """What canonical_trace touches: network, partitions, obs events."""
+    return SimpleNamespace(network=network, partitions={},
+                           observation=SimpleNamespace(events=[]))
 
 
 class TestBoundedDefault:
@@ -64,14 +72,8 @@ class TestOptInRetention:
         for _ in range(Network.TRACE_CAPACITY + 1):
             network.send("a", "b", "ping")
 
-        class _System:  # canonical_trace touches network + partitions only
-            pass
-
-        system = _System()
-        system.network = network
-        system.partitions = {}
         with pytest.raises(RuntimeError, match="keep_trace"):
-            canonical_trace(system)
+            canonical_trace(_bare_system(network))
 
     def test_canonical_trace_accepts_a_full_retained_trace(self):
         from repro.explore.trace import canonical_trace
@@ -80,13 +82,7 @@ class TestOptInRetention:
         for _ in range(10):
             network.send("a", "b", "ping")
 
-        class _System:
-            pass
-
-        system = _System()
-        system.network = network
-        system.partitions = {}
-        text = canonical_trace(system)
+        text = canonical_trace(_bare_system(network))
         assert text.count("deliver=") == 10
 
 

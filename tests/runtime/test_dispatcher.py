@@ -1,7 +1,10 @@
 """Direct unit tests of the partition dispatcher subsystem."""
 
+import logging
+
 import pytest
 
+from repro import obs
 from repro.core.exceptions import internal
 from repro.core.messages import (
     ApplicationMessage,
@@ -9,7 +12,7 @@ from repro.core.messages import (
     ExitReadyMessage,
     ToBeSignalledMessage,
 )
-from tests.conftest import make_simple_system
+from tests.conftest import make_simple_system, partition_notes
 
 FAULT = internal("fault")
 
@@ -102,6 +105,17 @@ class TestRouting:
             ExceptionMessage("A", "T2", FAULT)))
         assert partition.coordinator.retained
 
-    def test_unknown_payload_is_logged(self, partition):
+    def test_unknown_payload_is_noted(self, partition):
+        system = partition.system
+        obs.observe_system(system)
         drive(partition.dispatcher.dispatch(object()))
-        assert any("unhandled payload" in line for line in partition.log)
+        assert any("unhandled payload" in text
+                   for text in partition_notes(system, "T1"))
+
+    def test_unknown_payload_is_logged(self, partition, caplog):
+        # Reported even with observability off: never a silent drop.
+        with caplog.at_level(logging.WARNING):
+            drive(partition.dispatcher.dispatch(object()))
+        assert any(record.levelno == logging.WARNING
+                   and "unhandled payload" in record.getMessage()
+                   for record in caplog.records)

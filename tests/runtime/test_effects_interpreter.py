@@ -1,11 +1,14 @@
 """Tests for the EffectInterpreter interface and the partition interpreter."""
 
+import logging
+
 import pytest
 
+from repro import obs
 from repro.core import effects as fx
 from repro.core.exceptions import internal
 from repro.core.messages import SuspendedMessage
-from tests.conftest import make_simple_system
+from tests.conftest import make_simple_system, partition_notes
 
 FAULT = internal("fault")
 
@@ -127,9 +130,10 @@ def run_effects(partition, effects):
 
 
 class TestPartitionInterpreter:
-    def test_log_event_appends_to_partition_log(self, partition):
+    def test_log_event_becomes_a_partition_note(self, system, partition):
+        obs.observe_system(system)
         run_effects(partition, [fx.LogEvent("hello")])
-        assert "hello" in partition.log
+        assert partition_notes(system, "T1") == ["hello"]
 
     def test_send_to_reaches_the_network(self, system, partition):
         message = SuspendedMessage("A", "T1")
@@ -171,7 +175,12 @@ class TestPartitionInterpreter:
             system.metrics.record_suspension = original
         assert seen == [pytest.approx(0.5)]
 
-    def test_handle_resolved_for_unknown_frame_is_logged(self, partition):
-        run_effects(partition,
-                    [fx.HandleResolved("Ghost", FAULT, resolver="T1")])
-        assert any("unknown frame" in line for line in partition.log)
+    def test_handle_resolved_for_unknown_frame_is_logged(self, system,
+                                                         partition, caplog):
+        obs.observe_system(system)
+        with caplog.at_level(logging.WARNING):
+            run_effects(partition,
+                        [fx.HandleResolved("Ghost", FAULT, resolver="T1")])
+        assert any("unknown frame" in text
+                   for text in partition_notes(system, "T1"))
+        assert "unknown frame" in caplog.text
