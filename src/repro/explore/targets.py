@@ -75,8 +75,7 @@ def build_nested_abort(faults: FaultPlan, tie_seed: Optional[int] = None,
                            resolution_time=0.0)
     system = DistributedCASystem(config, latency=ConstantLatency(0.1),
                                  faults=faults,
-                                 kernel=Kernel(tie_seed=tie_seed),
-                                 keep_trace=True)
+                                 kernel=Kernel(tie_seed=tie_seed))
     system.add_threads(["T1", "T2", "T3"])
 
     outer_graph = generate_full_graph([OUTER_FAULT, ABORT_RESIDUE],
@@ -155,8 +154,7 @@ def build_concurrent_raises(faults: FaultPlan, tie_seed: Optional[int] = None,
     config = RuntimeConfig(algorithm=algorithm, resolution_time=0.1)
     system = DistributedCASystem(config, latency=ConstantLatency(0.1),
                                  faults=faults,
-                                 kernel=Kernel(tie_seed=tie_seed),
-                                 keep_trace=True)
+                                 kernel=Kernel(tie_seed=tie_seed))
     threads = ["T1", "T2", "T3"]
     system.add_threads(threads)
 

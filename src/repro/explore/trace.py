@@ -1,18 +1,20 @@
 """Canonical run traces and digests for deterministic replay checking.
 
 A run's canonical trace is a plain-text rendering of everything observable
-about it, built only from per-run data (notably *not* from
-``Envelope.sequence``, which is a process-global counter):
+about it, built only from per-run data:
 
 * **kernel** — every scheduler step, from ``kernel.step`` obs events;
-* **network** — every envelope in send order (timing, link, payload
-  repr, fate), from :attr:`Network.trace`;
+* **network** — every message in send order (timing, link, payload
+  repr, fate), from ``message.sent`` obs events;
 * **coordinators** — every resolution-coordinator transition, from
   ``coord.note`` obs events, grouped by thread in partition order;
 * **statistics** — the final :class:`MessageStatistics` snapshot.
 
 :func:`observe_for_trace` attaches the observation the obs-rendered
 sections need; without an event list :func:`canonical_trace` raises.
+
+Nothing is retained outside the event list, so a trace of any length
+renders without an opt-in.
 
 Two runs of the same ``(target, plan)`` must produce byte-identical
 canonical traces; :func:`trace_digest` hashes them so sweeps can compare
@@ -27,8 +29,7 @@ import json
 from typing import Dict, List
 
 from .. import obs
-from ..net.message import Envelope
-from ..obs.events import COORD_NOTE, KERNEL_STEP
+from ..obs.events import COORD_NOTE, KERNEL_STEP, MESSAGE_SENT
 from ..runtime.system import DistributedCASystem
 
 #: A traced run's observation: events, kernel steps and the flight ring.
@@ -49,13 +50,12 @@ def observe_for_trace(system: DistributedCASystem) -> obs.SystemObservation:
     return observation
 
 
-def _envelope_line(index: int, envelope: Envelope) -> str:
-    deliver = ("dropped" if envelope.deliver_time is None
-               else f"{envelope.deliver_time:.9f}")
-    corrupted = " corrupted" if envelope.corrupted else ""
-    return (f"#{index} t={envelope.send_time:.9f} "
-            f"{envelope.source}->{envelope.destination} "
-            f"{envelope.payload!r} deliver={deliver}{corrupted}")
+def _message_line(index: int, event: Dict) -> str:
+    deliver = event["deliver"]
+    deliver = "dropped" if deliver is None else f"{deliver:.9f}"
+    corrupted = " corrupted" if event["corrupted"] else ""
+    return (f"#{index} t={event['t']:.9f} {event['src']}->{event['dst']} "
+            f"{event['payload']} deliver={deliver}{corrupted}")
 
 
 def canonical_trace(system: DistributedCASystem) -> str:
@@ -67,27 +67,20 @@ def canonical_trace(system: DistributedCASystem) -> str:
             "canonical_trace renders obs events: observe the system with "
             "an event list (see observe_for_trace)")
     sections: List[str] = ["== kernel =="]
+    messages: List[str] = []
     notes: Dict[str, List[str]] = {}
     for event in events:
         kind = event["kind"]
         if kind == KERNEL_STEP:
             sections.append(f"{event['t']:.9f} p{event['priority']} "
                             f"e{event['eid']} {event['event']}")
+        elif kind == MESSAGE_SENT:
+            messages.append(_message_line(len(messages), event))
         elif kind == COORD_NOTE:
             thread = event["thread"]
             notes.setdefault(thread, []).append(f"{thread}: {event['text']}")
     sections.append("== network ==")
-    network = system.network
-    if not getattr(network, "keep_trace", True) \
-            and network.stats.sent > len(network.trace):
-        # The bounded ring has already evicted envelopes; a digest built
-        # from it would be silently wrong.  Build the system with
-        # ``keep_trace=True`` (the explorer targets do).
-        raise RuntimeError(
-            "canonical_trace needs full envelope retention: construct the "
-            "network with keep_trace=True")
-    sections.extend(_envelope_line(i, envelope)
-                    for i, envelope in enumerate(network.trace))
+    sections.extend(messages)
     sections.append("== coordinators ==")
     for name in sorted(system.partitions):
         sections.extend(notes.get(name, ()))

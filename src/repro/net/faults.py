@@ -14,9 +14,8 @@ are violated.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import asdict, dataclass
-from typing import Any, Deque, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from ..simkernel.rng import SeededStreams
 from .message import Envelope
@@ -128,10 +127,6 @@ class FaultPlan:
     it makes failure scenarios reproducible and targeted.
     """
 
-    #: Ring size of :attr:`log`: the most recent fault descriptions are
-    #: kept, while :attr:`stats` counts every fault of the run.
-    LOG_CAPACITY = 4096
-
     def __init__(self, streams: Optional[SeededStreams] = None,
                  drop_probability: float = 0.0,
                  corrupt_probability: float = 0.0) -> None:
@@ -148,7 +143,6 @@ class FaultPlan:
         self._crash_times: Dict[str, float] = {}
         self._restore_times: Dict[str, float] = {}
         self.stats = FaultStatistics()
-        self.log: Deque[str] = deque(maxlen=self.LOG_CAPACITY)
         #: The surgical directives this plan was built from, in application
         #: order (probabilistic parameters are serialized separately).
         self.directives: List[FaultDirective] = []
@@ -399,7 +393,9 @@ class FaultPlan:
         """Decide the fate of ``envelope``.
 
         Returns ``(deliver, extra_delay)``.  May also set
-        ``envelope.corrupted``.  Updates the fault statistics.
+        ``envelope.corrupted``.  Updates the fault statistics; the
+        message's fate itself is recorded by the network's
+        ``message.sent`` obs event.
         """
         link = (envelope.source, envelope.destination)
         count = self.count_link(link)
@@ -413,29 +409,24 @@ class FaultPlan:
         if self.is_crashed(envelope.source, now) or self.is_crashed(
                 envelope.destination, now):
             self.stats.blocked_by_crash += 1
-            self.log.append(f"blocked {envelope!r} (crashed endpoint)")
             return False, 0.0
 
         if count in self._drop_nth.get(link, ()):  # surgical drop
             self.stats.dropped += 1
-            self.log.append(f"dropped {envelope!r} (surgical #{count})")
             return False, 0.0
 
         if self.drop_probability and \
                 self._streams.random("drop") < self.drop_probability:
             self.stats.dropped += 1
-            self.log.append(f"dropped {envelope!r} (probabilistic)")
             return False, 0.0
 
         if count in self._corrupt_nth.get(link, ()):  # surgical corruption
             envelope.corrupted = True
             self.stats.corrupted += 1
-            self.log.append(f"corrupted {envelope!r} (surgical #{count})")
         elif self.corrupt_probability and \
                 self._streams.random("corrupt") < self.corrupt_probability:
             envelope.corrupted = True
             self.stats.corrupted += 1
-            self.log.append(f"corrupted {envelope!r} (probabilistic)")
 
         extra = self._extra_delay.get(link, 0.0)
         extra += self._type_delay.get(
@@ -444,7 +435,6 @@ class FaultPlan:
         extra += self._nth_delay.get(link, {}).get(count, 0.0)
         if extra:
             self.stats.delayed += 1
-            self.log.append(f"delayed {envelope!r} by {extra:g}")
         return True, extra
 
 

@@ -7,11 +7,7 @@ routing and timing metadata used by metrics and by fault injection.
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, Optional
-
-_sequence = itertools.count(1)
-_next_sequence = _sequence.__next__
 
 
 class Envelope:
@@ -34,28 +30,23 @@ class Envelope:
     deliver_time:
         Virtual time at which it will be (or was) placed in the receiver's
         buffer.  ``None`` until the network schedules delivery.
-    sequence:
-        Globally unique, monotonically increasing identifier; used for
-        deterministic tie-breaking and for tracing.
     corrupted:
         Set by fault injection; a corrupted payload must not be trusted by
         the receiver (the signalling algorithm treats it as ``ƒ``).
     """
 
     __slots__ = ("source", "destination", "payload", "send_time",
-                 "deliver_time", "sequence", "corrupted")
+                 "deliver_time", "corrupted")
 
     def __init__(self, source: str, destination: str, payload: Any,
                  send_time: float = 0.0,
                  deliver_time: Optional[float] = None,
-                 sequence: Optional[int] = None,
                  corrupted: bool = False) -> None:
         self.source = source
         self.destination = destination
         self.payload = payload
         self.send_time = send_time
         self.deliver_time = deliver_time
-        self.sequence = _next_sequence() if sequence is None else sequence
         self.corrupted = corrupted
 
     @property
@@ -66,5 +57,5 @@ class Envelope:
         return self.deliver_time - self.send_time
 
     def __repr__(self) -> str:
-        return (f"<Envelope #{self.sequence} {self.source}->{self.destination} "
+        return (f"<Envelope {self.source}->{self.destination} "
                 f"{type(self.payload).__name__} t={self.send_time:.3f}>")

@@ -11,12 +11,13 @@ Guarantees provided (matching the paper's assumptions):
   non-decreasing per directed link).
 
 The network also keeps per-category message counters, which the complexity
-benchmarks (Theorem 2, Section 3.2.3) read.
+benchmarks (Theorem 2, Section 3.2.3) read.  It retains no envelope: a
+message's record is its ``message.sent`` obs event.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import defaultdict
 from typing import Any, Dict, Iterable, List, Optional
 
 from ..simkernel.events import Timeout
@@ -157,16 +158,9 @@ class Network(Transport):
     #: kernel's seeded tie perturbation is active (see :meth:`send`).
     FIFO_EPSILON = 1e-9
 
-    #: Ring size for the default (bounded) envelope trace.  Any consumer
-    #: that needs every envelope of an arbitrarily long run — the
-    #: explorer's canonical traces, conformance digests — must construct
-    #: the network with ``keep_trace=True``.
-    TRACE_CAPACITY = 4096
-
     def __init__(self, kernel: Kernel,
                  latency: Optional[LatencyModel] = None,
-                 faults: Optional[FaultPlan] = None,
-                 keep_trace: bool = False) -> None:
+                 faults: Optional[FaultPlan] = None) -> None:
         self.kernel = kernel
         self.latency = latency or ConstantLatency(0.0)
         self.faults = faults or FaultPlan()
@@ -175,12 +169,6 @@ class Network(Transport):
         #: Last scheduled delivery time per directed link, used to enforce
         #: FIFO even under non-deterministic latency.
         self._link_clock: Dict[tuple, float] = {}
-        #: Envelope trace in send order.  Bounded by default so long
-        #: capacity runs stay flat in memory; ``keep_trace=True`` retains
-        #: everything for replay checking and canonical digests.
-        self.keep_trace = keep_trace
-        self.trace: Any = ([] if keep_trace
-                           else deque(maxlen=self.TRACE_CAPACITY))
         #: The attached observation sink (``repro.obs``), or ``None`` when
         #: observability is off — the hot path then pays one None check.
         #: It is attached before the first send and read at delivery.
@@ -220,7 +208,8 @@ class Network(Transport):
         Returns the envelope (already stamped with the scheduled delivery
         time unless it was dropped).  This is the network's hot path — one
         call per message — so the per-message statistics are recorded
-        inline and the kernel internals are reached directly.
+        inline and the kernel internals are reached directly.  A transport
+        backend replaces only the last step, :meth:`_transmit`.
         """
         nodes = self.nodes
         if source not in nodes:
@@ -236,10 +225,6 @@ class Network(Transport):
         stats.by_type[type(payload).__name__] += 1
         link = (source, destination)
         stats.by_link[link] += 1
-        self.trace.append(envelope)
-        obs = self._obs
-        if obs is not None:
-            obs.message_sent(envelope)
 
         faults = self.faults
         if faults._shortcut and link not in faults._surgical_links:
@@ -252,6 +237,9 @@ class Network(Transport):
         else:
             deliver, extra_delay = faults.apply(envelope, now)
             if not deliver:
+                obs = self._obs
+                if obs is not None:
+                    obs.message_sent(envelope)
                 stats.dropped += 1
                 if obs is not None:
                     obs.message_dropped(envelope, "fault")
@@ -279,9 +267,16 @@ class Network(Transport):
             deliver_at = 0.0
         self._link_clock[link] = deliver_at
         envelope.deliver_time = deliver_at
-        Timeout(kernel, deliver_at - now, envelope).callbacks.append(
-            self._deliver_callback)
+        obs = self._obs
+        if obs is not None:
+            obs.message_sent(envelope)
+        self._transmit(envelope, deliver_at - now)
         return envelope
+
+    def _transmit(self, envelope: Envelope, delay: float) -> None:
+        """Schedule delivery of a stamped envelope ``delay`` from now."""
+        Timeout(self.kernel, delay, envelope).callbacks.append(
+            self._deliver_callback)
 
     def _deliver(self, event: Timeout) -> None:
         """Place the envelope a delivery ``Timeout`` carries in its inbox.
@@ -300,7 +295,6 @@ class Network(Transport):
         self.stats.delivered += 1
         if obs is not None:
             obs.message_delivered(envelope)
-        target.received.append(envelope)
         target.inbox.deliver(envelope)
 
     def broadcast(self, source: str, destinations: Iterable[str],

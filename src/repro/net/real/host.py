@@ -85,10 +85,12 @@ def run_node(host: str, port: int, scenario: str, node: str,
     link = _HubLink(host, port)
     spec = REAL_SCENARIOS[scenario]
     built = spec.build(spec_params(spec, params), node,
-                       lambda src, dst, payload, send_vt, deliver_vt:
+                       lambda src, dst, payload, send_vt, deliver_vt,
+                       corrupted:
                        link.send({"kind": "msg", "src": src, "dst": dst,
                                   "payload": payload, "send_vt": send_vt,
-                                  "deliver_vt": deliver_vt}))
+                                  "deliver_vt": deliver_vt,
+                                  "corrupted": corrupted}))
     system = built.system
     kernel = system.kernel
     network = system.network
@@ -105,7 +107,8 @@ def run_node(host: str, port: int, scenario: str, node: str,
             kind = frame.get("kind")
             if kind == "msg":
                 network.inject(frame["src"], frame["dst"],
-                               frame["payload"], frame["deliver_vt"])
+                               frame["payload"], frame["deliver_vt"],
+                               frame.get("corrupted", False))
             elif kind == "start":
                 started = True
             elif kind == "finalize":

@@ -5,10 +5,10 @@ a stub so bindings, participant sets, and instance-key allocation stay
 identical to the sim build — but spawns only its local node's program.
 :class:`RealNetwork` keeps intra-process traffic on the ordinary sim
 path and forwards everything addressed to a non-local node over the
-wire: the sender stamps the envelope with the virtual delivery time its
-latency model dictates, and the receiving process injects it no earlier
-than that virtual time (clamped to its local clock and per-link FIFO),
-so cross-process timing matches the sim schedule up to wall-clock
+wire: :meth:`Network.send` runs its one sequence (fault plan included)
+and the sender forwards the stamped virtual delivery time and corruption
+flag; the receiving process injects it no earlier than that virtual time
+(clamped to its local clock and per-link FIFO), so cross-process timing matches the sim schedule up to wall-clock
 jitter.  Every clamp is counted per link with its largest virtual-time
 error (:attr:`RealNetwork.clamps`), outside the message statistics.
 """
@@ -24,8 +24,8 @@ from ..latency import LatencyModel
 from ..message import Envelope
 from ..network import MessageStatistics, Network
 
-#: forwarder(source, destination, payload, send_vt, deliver_vt)
-Forwarder = Callable[[str, str, Any, float, float], None]
+#: forwarder(source, destination, payload, send_vt, deliver_vt, corrupted)
+Forwarder = Callable[[str, str, Any, float, float, bool], None]
 
 
 class RealNetwork(Network):
@@ -43,39 +43,32 @@ class RealNetwork(Network):
         self.clamps: Dict[Tuple[str, str], Tuple[int, float]] = {}
 
     # ------------------------------------------------------------------
-    def send(self, source: str, destination: str, payload: Any) -> Envelope:
-        if destination in self.local:
-            return super().send(source, destination, payload)
-        # Remote destination: stamp the envelope exactly as the sim would
-        # and hand it to the wire.  The receiver enforces arrival no
-        # earlier than ``deliver_time`` on its own clock.
-        now = self.kernel._now
-        envelope = Envelope(source, destination, payload, now)
-        self.stats.sent += 1
-        self.stats.by_type[type(payload).__name__] += 1
-        self.stats.by_link[(source, destination)] += 1
-        self.trace.append(envelope)
-        obs = self._obs
-        if obs is not None:
-            obs.message_sent(envelope)
-        deliver_at = now + self.latency.sample(source, destination)
-        envelope.deliver_time = deliver_at
-        self._forward(source, destination, payload, now, deliver_at)
-        return envelope
+    def _transmit(self, envelope: Envelope, delay: float) -> None:
+        if envelope.destination in self.local:
+            super()._transmit(envelope, delay)
+            return
+        # Remote destination: hand the stamped envelope to the wire.  The
+        # receiver enforces arrival no earlier than ``deliver_time`` on
+        # its own clock.
+        self._forward(envelope.source, envelope.destination,
+                      envelope.payload, envelope.send_time,
+                      envelope.deliver_time, envelope.corrupted)
 
     # ------------------------------------------------------------------
     def inject(self, source: str, destination: str, payload: Any,
-               deliver_vt: float) -> None:
+               deliver_vt: float, corrupted: bool = False) -> None:
         """Schedule delivery of a wire message into a local node.
 
         ``deliver_vt`` is the sender's virtual delivery time; it is
         clamped to this process's clock (wire latency may have outrun
         the wall-clock pacing) and to per-link FIFO.  A clamped delivery
-        is counted in :attr:`clamps`.
+        is counted in :attr:`clamps`.  ``corrupted`` carries the sender's
+        fault-plan verdict.
         """
         kernel = self.kernel
         now = kernel._now
-        envelope = Envelope(source, destination, payload, now)
+        envelope = Envelope(source, destination, payload, now,
+                            corrupted=corrupted)
         link = (source, destination)
         deliver_at = max(deliver_vt, now)
         last = self._link_clock.get(link)

@@ -129,8 +129,10 @@ def _build_transactional(params: Dict[str, Any], local: Optional[str],
 
     counters: List[Tuple[str, str]] = []
     service: Optional[ObjectHostService] = None
+    # Every process registers the object host (a stub where it is
+    # remote): sends to it take the network's one send sequence.
+    objhost = network.add_node("objhost")
     if local is None or local == "objhost":
-        objhost = network.add_node("objhost")
         system.create_object("acct", {"value": 0})
         counters.append(("acct", "value"))
         service = ObjectHostService(RpcEndpoint(objhost, network),

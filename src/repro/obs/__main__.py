@@ -3,8 +3,9 @@
 Three commands over exported trace files (JSONL event streams, flight
 dumps, or Chrome ``trace_event`` JSON — the format is auto-detected):
 
-* ``summarize FILE`` — event/kind/category counts, span outcomes, and
-  the covered virtual-time range;
+* ``summarize FILE`` — event/kind/category counts, message fates (sent,
+  delivered, dropped by reason, corrupted), span outcomes, and the
+  covered virtual-time range;
 * ``convert FILE -o OUT`` — JSONL events → Chrome ``trace_event`` JSON
   (open the result at https://ui.perfetto.dev);
 * ``diff A B`` — summarize both files and print every differing leaf.
@@ -63,7 +64,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     commands = parser.add_subparsers(dest="command", required=True)
 
     summarize_cmd = commands.add_parser(
-        "summarize", help="event counts, span outcomes, time range")
+        "summarize",
+        help="event counts, message fates, span outcomes, time range")
     summarize_cmd.add_argument("file", help="JSONL or Chrome trace file")
     summarize_cmd.set_defaults(func=cmd_summarize)
 

@@ -29,6 +29,12 @@ kernel     ``kernel.step`` (opt-in; one record per scheduler step)
 Notes carry ``thread`` and ``text``: a coordinator or signalling transition,
 or a partition remark; canonical explorer traces render ``coord.note``.
 
+Message records carry ``src``, ``dst``, ``type`` and ``seq`` (send order).
+``message.sent``, the one record of a message, is emitted once its fate
+is known and adds ``payload`` (its ``repr``), ``deliver`` (``None`` when
+the fault plan dropped it) and ``corrupted``; canonical explorer traces
+render it.  ``message.dropped`` adds ``reason``: ``fault``/``dead_target``.
+
 Life-cycle kinds are derived mechanically from the runtime's probe
 names (``system.probe("entered", ...)`` becomes ``action.entered``);
 unknown probe names pass through as ``probe.<name>`` so a future probe

@@ -286,9 +286,11 @@ def validate_chrome(doc: Any) -> List[str]:
 # Summaries and diffs
 # ---------------------------------------------------------------------------
 def summarize_events(events: List[Dict[str, Any]]) -> Dict[str, Any]:
-    """Kind/category counts, span outcomes, and the covered time range."""
+    """Kind/category counts, message fates, span outcomes, time range."""
     kind_counts: Dict[str, int] = {}
     category_counts: Dict[str, int] = {}
+    dropped: Dict[str, int] = {}
+    corrupted = 0
     t_min: Optional[float] = None
     t_max: Optional[float] = None
     payload = [event for event in events
@@ -298,6 +300,11 @@ def summarize_events(events: List[Dict[str, Any]]) -> Dict[str, Any]:
         kind_counts[kind] = kind_counts.get(kind, 0) + 1
         cat = category(kind)
         category_counts[cat] = category_counts.get(cat, 0) + 1
+        if kind == kinds.MESSAGE_SENT:
+            corrupted += bool(event.get("corrupted"))
+        elif kind == kinds.MESSAGE_DROPPED:
+            reason = str(event.get("reason"))
+            dropped[reason] = dropped.get(reason, 0) + 1
         t = event.get("t")
         if isinstance(t, (int, float)):
             t_min = t if t_min is None else min(t_min, t)
@@ -310,6 +317,12 @@ def summarize_events(events: List[Dict[str, Any]]) -> Dict[str, Any]:
         "events": len(payload),
         "kinds": dict(sorted(kind_counts.items())),
         "categories": dict(sorted(category_counts.items())),
+        "messages": {
+            "sent": kind_counts.get(kinds.MESSAGE_SENT, 0),
+            "delivered": kind_counts.get(kinds.MESSAGE_DELIVERED, 0),
+            "dropped": dict(sorted(dropped.items())),
+            "corrupted": corrupted,
+        },
         "spans": {
             "completed": len(completed),
             "open": len(still_open),

@@ -129,13 +129,18 @@ class SystemObservation:
     # Messaging (net/network.py)
     # ------------------------------------------------------------------
     def message_sent(self, envelope: Any) -> None:
+        """The one record of a message, emitted once its fate is known."""
         self._message_seq += 1
         seq = self._message_seq
         self._envelope_seq[id(envelope)] = seq
         src, dst = envelope.source, envelope.destination
+        payload = envelope.payload
         self._emit({"t": self._kernel.now, "kind": kinds.MESSAGE_SENT,
                     "src": src, "dst": dst,
-                    "type": type(envelope.payload).__name__, "seq": seq})
+                    "type": type(payload).__name__, "seq": seq,
+                    "payload": repr(payload),
+                    "deliver": envelope.deliver_time,
+                    "corrupted": envelope.corrupted})
         metrics = self.metrics
         if metrics is not None:
             link = f"{src}->{dst}"

@@ -43,20 +43,20 @@ class DistributedCASystem:
         Optional fault-injection plan for the network.
     kernel:
         Optional pre-existing simulation kernel (a fresh one by default).
-    keep_trace:
-        Retain every envelope in :attr:`Network.trace` (needed for
-        canonical replay traces); the default is a bounded ring.
     network:
         Optional pre-built network (a transport backend's subclass); when
-        given, ``latency``/``faults``/``keep_trace`` are ignored and the
-        network's kernel must be this system's kernel.
+        given, ``latency``/``faults`` are ignored and the network's kernel
+        must be this system's kernel.
+
+    The network retains no envelope; a run that needs every message (the
+    explorer's canonical trace) observes the system's ``message.sent``
+    events.
     """
 
     def __init__(self, config: Optional[RuntimeConfig] = None,
                  latency: Optional[LatencyModel] = None,
                  faults: Optional[FaultPlan] = None,
                  kernel: Optional[Kernel] = None,
-                 keep_trace: bool = False,
                  network: Optional[Network] = None) -> None:
         self.config = config or RuntimeConfig()
         self.kernel = kernel or Kernel()
@@ -68,8 +68,7 @@ class DistributedCASystem:
         else:
             self.network = Network(self.kernel,
                                    latency=latency or ConstantLatency(0.0),
-                                   faults=faults,
-                                   keep_trace=keep_trace)
+                                   faults=faults)
         self.registry = ActionRegistry()
         self.transactions = TransactionManager(self.kernel)
         self.metrics = RunMetrics()

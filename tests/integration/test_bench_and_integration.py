@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import obs
 from repro.analysis import (
     lemma1_completion_bound,
     messages_all_exceptions,
@@ -193,14 +194,17 @@ class TestCrossChecks:
 
     def test_network_fifo_assumption_holds_during_experiments(self):
         system = build_experiment2(0.7, 0.2)
+        observation = obs.observe_system(system, obs.ObsConfig(metrics=False))
         system.run_to_completion()
         deliveries = {}
-        for envelope in system.network.trace:
-            if envelope.deliver_time is None:
+        for event in observation.events:
+            if event["kind"] != "message.sent" or event["deliver"] is None:
                 continue
-            link = (envelope.source, envelope.destination)
+            link = (event["src"], event["dst"])
             deliveries.setdefault(link, []).append(
-                (envelope.sequence, envelope.deliver_time))
+                (event["seq"], event["deliver"]))
+        assert sum(map(len, deliveries.values())) == \
+            system.network.stats.sent
         for link, entries in deliveries.items():
             times = [t for _seq, t in sorted(entries)]
             assert times == sorted(times), f"FIFO violated on {link}"

@@ -29,7 +29,8 @@ def test_on_time_injection_is_not_a_clamp():
     network.inject("A", "B", "m", deliver_vt=1.0)
     kernel.run()
     assert network.clamps == {}
-    assert [e.deliver_time for e in network.node("B").received] == [1.0]
+    assert [e.deliver_time for e in network.node("B").inbox.peek_all()] \
+        == [1.0]
 
 
 def test_late_injection_is_clamped_to_now_and_counted():
@@ -38,7 +39,7 @@ def test_late_injection_is_clamped_to_now_and_counted():
     network.inject("A", "B", "late", deliver_vt=1.25)
     kernel.run()
     assert network.clamps[("A", "B")] == (1, 0.75)
-    assert network.node("B").received[-1].deliver_time == 2.0
+    assert network.node("B").inbox.peek_all()[-1].deliver_time == 2.0
 
 
 def test_injection_behind_the_link_clock_is_counted():
@@ -48,7 +49,7 @@ def test_injection_behind_the_link_clock_is_counted():
     network.inject("A", "B", "third", deliver_vt=2.0)
     kernel.run()
     assert network.clamps[("A", "B")] == (2, 1.0)
-    received = network.node("B").received
+    received = network.node("B").inbox.peek_all()
     assert [e.payload for e in received] == ["first", "second", "third"]
     assert [e.deliver_time for e in received] == [3.0, 3.0, 3.0]
 

@@ -18,6 +18,19 @@ def build_pair(latency: float = 0.1):
     return kernel, network, alpha, beta
 
 
+def record_sends(network):
+    """Collect the envelope each ``network.send`` returns, in send order."""
+    envelopes = []
+    send = network.send
+
+    def recording_send(source, destination, payload):
+        envelopes.append(send(source, destination, payload))
+        return envelopes[-1]
+
+    network.send = recording_send
+    return envelopes
+
+
 class TestOneWayCalls:
     def test_oneway_invokes_registered_handler(self):
         kernel, _network, alpha, beta = build_pair()
@@ -126,7 +139,8 @@ class TestFallback:
 
 class TestRequestDataclass:
     def test_endpoint_call_ids_are_unique_and_increasing(self):
-        kernel, _network, alpha, beta = build_pair()
+        kernel, network, alpha, beta = build_pair()
+        sent = record_sends(network)
         beta.register("p", lambda: None)
 
         def program():
@@ -135,7 +149,7 @@ class TestRequestDataclass:
         alpha.call_oneway("beta", "p")
         kernel.process(program())
         kernel.run()
-        ids = [env.payload.call_id for env in _network.trace
+        ids = [env.payload.call_id for env in sent
                if isinstance(env.payload, RpcRequest)]
         assert ids == sorted(ids) and len(set(ids)) == len(ids)
 
@@ -144,10 +158,11 @@ class TestRequestDataclass:
         # at 1: replay determinism may not depend on process history.
         _k1, n1, a1, _b1 = build_pair()
         _k2, n2, a2, _b2 = build_pair()
+        sent1, sent2 = record_sends(n1), record_sends(n2)
         a1.call_oneway("beta", "p")
         a2.call_oneway("beta", "p")
-        assert n1.trace[0].payload.call_id == 1
-        assert n2.trace[0].payload.call_id == 1
+        assert sent1[0].payload.call_id == 1
+        assert sent2[0].payload.call_id == 1
 
     def test_defaults(self):
         request = RpcRequest("p", args=(1,))

@@ -1,112 +1,194 @@
-"""Regression: the network's envelope trace must not grow without bound.
+"""Regression: the network keeps no per-message record of its own.
 
-The trace used to be an unbounded list appended to on every send, which
-made long capacity sweeps grow linearly in memory for a debugging aid
-nobody was reading.  It is now a bounded ring by default; consumers that
-genuinely need every envelope (canonical replay traces) opt in with
-``keep_trace=True`` and the digest path refuses to run on an overflowed
-ring rather than producing a silently wrong digest.
+The network used to append every envelope to a 4096-entry ring
+(``Network.trace``, unbounded with an opt-in), every node kept a
+4096-entry ring of received envelopes, and the fault plan kept a ring of
+formatted fault descriptions.  Long capacity runs held thousands of dead
+envelopes, and the canonical trace refused to render more messages than
+the ring held.  The record of a message is now its ``message.sent`` obs
+event, emitted once the message's fate is known; counters still count
+every message and every fault.
 """
 
 from __future__ import annotations
 
+import weakref
 from types import SimpleNamespace
 
 import pytest
 
+from repro import obs
+from repro.explore.trace import canonical_trace
+from repro.net import network as network_module
+from repro.net.faults import FaultPlan
 from repro.net.latency import ConstantLatency
 from repro.net.network import Network
 from repro.simkernel.kernel import Kernel
+from repro.simkernel.rng import SeededStreams
+
+#: The size of each of the deleted rings; the tests run well past it.
+OLD_RING = 4096
+
+#: An event list and nothing else (no metrics, no flight ring).
+EVENTS_ONLY = obs.ObsConfig(metrics=False, flight_recorder=False)
 
 
-def build_network(**kwargs):
+def build_network(faults=None):
     kernel = Kernel()
-    network = Network(kernel, latency=ConstantLatency(0.0), **kwargs)
+    network = Network(kernel, latency=ConstantLatency(0.0), faults=faults)
     network.add_node("a")
     network.add_node("b")
     return kernel, network
 
 
-def _bare_system(network):
-    """What canonical_trace touches: network, partitions, obs events."""
-    return SimpleNamespace(network=network, partitions={},
-                           observation=SimpleNamespace(events=[]))
+def observe(network):
+    """A bare system for ``canonical_trace`` with an observed network."""
+    system = SimpleNamespace(kernel=network.kernel, network=network,
+                             partitions={})
+    system.observation = obs.SystemObservation(system, EVENTS_ONLY)
+    network._obs = system.observation
+    return system
 
 
-class TestBoundedDefault:
-    def test_long_run_memory_is_flat(self):
-        _kernel, network = build_network()
-        total = Network.TRACE_CAPACITY * 3
-        for _ in range(total):
-            network.send("a", "b", "ping")
-        assert len(network.trace) == Network.TRACE_CAPACITY
-        assert network.stats.sent == total  # counters still see everything
+def consume_forever(node):
+    while True:
+        yield node.inbox.get()
 
-    def test_ring_keeps_the_most_recent_envelopes(self):
+
+def sent_events(system):
+    return [event for event in system.observation.events
+            if event["kind"] == "message.sent"]
+
+
+class TestNoRetention:
+    @pytest.mark.parametrize("observed", [False, True],
+                             ids=["plain", "observed"])
+    def test_a_long_run_leaves_no_live_envelope(self, monkeypatch,
+                                                observed):
+        live = weakref.WeakSet()
+
+        class CensusEnvelope(network_module.Envelope):
+            __slots__ = ("__weakref__",)
+
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                live.add(self)
+
+        monkeypatch.setattr(network_module, "Envelope", CensusEnvelope)
+        plan = FaultPlan(streams=SeededStreams(3), drop_probability=0.25)
+        kernel, network = build_network(plan)
+        network.add_node("dead").crash()
+        if observed:
+            observe(network)
+        kernel.process(consume_forever(network.node("b")))
+
+        def sender():
+            for i in range(3 * OLD_RING + 100):
+                network.send("a", "b", i)
+                yield kernel.timeout(0.001)
+            for _ in range(4):
+                network.send("a", "dead", "lost")
+
+        kernel.process(sender())
+        kernel.run()
+
+        stats = network.stats
+        assert stats.sent == 3 * OLD_RING + 104
+        assert plan.stats.dropped > 0
+        assert stats.dropped > plan.stats.dropped  # + dead-target drops
+        assert stats.delivered == stats.sent - stats.dropped
+        assert len(live) == 0
+
+
+class TestCanonicalTraceFromEvents:
+    def test_renders_more_messages_than_the_old_ring_with_no_opt_in(self):
         kernel, network = build_network()
-        for i in range(Network.TRACE_CAPACITY + 10):
+        system = observe(network)
+        total = OLD_RING + 10
+        for i in range(total):
             network.send("a", "b", i)
-        payloads = [env.payload for env in network.trace]
-        assert payloads[0] == 10
-        assert payloads[-1] == Network.TRACE_CAPACITY + 9
+        kernel.run()
+        text = canonical_trace(system)
+        lines = [line for line in text.splitlines() if "deliver=" in line]
+        assert len(lines) == total
+        assert lines[0] == "#0 t=0.000000000 a->b 0 deliver=0.000000000"
+        assert lines[-1].startswith(f"#{total - 1} t=0.000000000 a->b "
+                                    f"{total - 1} deliver=")
 
-    def test_short_runs_are_unaffected(self):
-        _kernel, network = build_network()
-        for i in range(5):
-            network.send("a", "b", i)
-        assert [env.payload for env in network.trace] == [0, 1, 2, 3, 4]
-
-
-class TestOptInRetention:
-    def test_keep_trace_retains_every_envelope(self):
-        _kernel, network = build_network(keep_trace=True)
-        total = Network.TRACE_CAPACITY + 100
-        for _ in range(total):
-            network.send("a", "b", "ping")
-        assert len(network.trace) == total
-
-    def test_canonical_trace_refuses_an_overflowed_ring(self):
-        from repro.explore.trace import canonical_trace
-
-        _kernel, network = build_network()
-        for _ in range(Network.TRACE_CAPACITY + 1):
-            network.send("a", "b", "ping")
-
-        with pytest.raises(RuntimeError, match="keep_trace"):
-            canonical_trace(_bare_system(network))
-
-    def test_canonical_trace_accepts_a_full_retained_trace(self):
-        from repro.explore.trace import canonical_trace
-
-        _kernel, network = build_network(keep_trace=True)
-        for _ in range(10):
-            network.send("a", "b", "ping")
-
-        text = canonical_trace(_bare_system(network))
-        assert text.count("deliver=") == 10
+    def test_dropped_and_corrupted_messages_render_their_fate(self):
+        plan = FaultPlan()
+        plan.drop_nth_message("a", "b", 1)
+        plan.corrupt_nth_message("a", "b", 2)
+        kernel, network = build_network(plan)
+        system = observe(network)
+        network.send("a", "b", "x")
+        network.send("a", "b", "y")
+        kernel.run()
+        network_section = canonical_trace(system).split(
+            "== network ==\n")[1].split("\n== coordinators ==")[0]
+        assert network_section.splitlines() == [
+            "#0 t=0.000000000 a->b 'x' deliver=dropped",
+            "#1 t=0.000000000 a->b 'y' deliver=0.000000000 corrupted",
+        ]
 
 
-class TestFaultLogBound:
-    """``FaultPlan.log`` is a ring too; ``FaultPlan.stats`` counts it all."""
+class TestMessageSentRecord:
+    def test_event_carries_payload_fate_and_corruption(self):
+        plan = FaultPlan()
+        plan.drop_nth_message("a", "b", 2)
+        plan.corrupt_nth_message("a", "b", 3)
+        plan.add_link_delay("a", "b", 0.5)
+        kernel = Kernel()
+        network = Network(kernel, latency=ConstantLatency(0.25),
+                          faults=plan)
+        network.add_node("a")
+        network.add_node("b")
+        system = observe(network)
+        envelopes = [network.send("a", "b", payload)
+                     for payload in ("one", "two", "three")]
+        kernel.run()
+        events = sent_events(system)
+        assert [event["seq"] for event in events] == [1, 2, 3]
+        assert [event["payload"] for event in events] == [
+            "'one'", "'two'", "'three'"]
+        assert [event["deliver"] for event in events] == [
+            envelope.deliver_time for envelope in envelopes]
+        assert [event["deliver"] for event in events] == [0.75, None, 0.75]
+        assert [event["corrupted"] for event in events] == [
+            False, False, True]
 
-    def test_long_lossy_run_keeps_the_log_at_capacity(self):
-        from repro.net.faults import FaultPlan
-        from repro.simkernel.rng import SeededStreams
+    def test_a_fault_drop_is_sent_then_dropped(self):
+        plan = FaultPlan()
+        plan.drop_nth_message("a", "b", 1)
+        kernel, network = build_network(plan)
+        system = observe(network)
+        network.send("a", "b", "gone")
+        kinds = [(event["kind"], event.get("reason"))
+                 for event in system.observation.events]
+        assert kinds == [("message.sent", None),
+                         ("message.dropped", "fault")]
 
+
+class TestFaultCounting:
+    """``FaultPlan.stats`` and the ``message.dropped`` events count it all."""
+
+    def test_long_lossy_run_counts_every_fault(self):
         plan = FaultPlan(streams=SeededStreams(7), drop_probability=0.5)
-        kernel, network = build_network(faults=plan)
-        total = FaultPlan.LOG_CAPACITY * 4
+        kernel, network = build_network(plan)
+        system = observe(network)
+        total = OLD_RING * 4
         sent = [network.send("a", "b", i) for i in range(total)]
         kernel.run()
         draws = SeededStreams(7)
         expected = sum(draws.random("drop") < 0.5 for _ in range(total))
-        assert expected > FaultPlan.LOG_CAPACITY
-        assert len(plan.log) == FaultPlan.LOG_CAPACITY
+        assert expected > OLD_RING
         assert plan.stats.dropped == expected
         assert network.stats.dropped == expected
         assert network.stats.delivered == total - expected
-        # The ring holds the most recent faults, oldest first.
-        dropped = [env for env in sent if env.deliver_time is None]
-        recent = dropped[-FaultPlan.LOG_CAPACITY:]
-        assert list(plan.log) == [f"dropped {env!r} (probabilistic)"
-                                  for env in recent]
+        dropped = [event for event in system.observation.events
+                   if event["kind"] == "message.dropped"]
+        assert [event["reason"] for event in dropped] == ["fault"] * expected
+        assert [event["payload"] for event in sent_events(system)
+                if event["deliver"] is None] == [
+            repr(envelope.payload) for envelope in sent
+            if envelope.deliver_time is None]

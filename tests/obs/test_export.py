@@ -6,11 +6,15 @@ import json
 
 import pytest
 
+from repro import obs
+from repro.explore.targets import build_concurrent_raises
+from repro.net.faults import FaultPlan
 from repro.obs import read_jsonl, validate_chrome, write_flight_dump, \
     write_jsonl
 from repro.obs.__main__ import main as obs_main
 from repro.obs.export import (chrome_trace, diff_summaries, load_trace,
                               summarize_events, summarize_path)
+from repro.simkernel.rng import SeededStreams
 
 #: A small hand-written stream touching every exporter code path: a
 #: completed span with a marker, an open span, a message send/deliver
@@ -24,7 +28,8 @@ EVENTS = [
     {"t": 1.0, "kind": "action.entered", "action": "A", "instance": "i0",
      "thread": "T2"},
     {"t": 1.2, "kind": "message.sent", "src": "T1", "dst": "T2",
-     "type": "ExceptionRaised", "seq": 1},
+     "type": "ExceptionRaised", "seq": 1, "payload": "ExceptionRaised()",
+     "deliver": 1.4, "corrupted": False},
     {"t": 1.4, "kind": "message.delivered", "src": "T1", "dst": "T2",
      "type": "ExceptionRaised", "seq": 1},
     {"t": 1.5, "kind": "message.dropped", "src": "T2", "dst": "T1",
@@ -158,6 +163,9 @@ class TestSummaries:
         assert summary["events"] == len(EVENTS)
         assert summary["kinds"]["action.entered"] == 2
         assert summary["categories"]["message"] == 3
+        assert summary["messages"] == {"sent": 1, "delivered": 1,
+                                       "dropped": {"crash": 1},
+                                       "corrupted": 0}
         assert summary["spans"] == {
             "completed": 1, "open": 1,
             "outcomes": {"recovered": 1},
@@ -204,6 +212,29 @@ class TestObsCli:
         assert obs_main(["diff", a, b]) == 1
         delta = json.loads(capsys.readouterr().out)
         assert delta["events"] == [10, 9]
+
+    def test_summarize_counts_the_fates_of_a_lossy_run(self, tmp_path,
+                                                       capsys):
+        faults = FaultPlan(streams=SeededStreams(5), drop_probability=0.2)
+        faults.corrupt_nth_message("T1", "T2", 1)
+        faults.crash_node("T3", at_time=0.5)
+        system = build_concurrent_raises(faults)
+        observation = obs.observe_system(system, obs.ObsConfig(metrics=False))
+        system.run()
+        path = str(tmp_path / "lossy.events.jsonl")
+        write_jsonl(observation.events, path)
+
+        assert obs_main(["summarize", path]) == 0
+        messages = json.loads(capsys.readouterr().out)["messages"]
+        stats = system.network.stats
+        assert messages == {
+            "sent": stats.sent, "delivered": stats.delivered,
+            "dropped": {"fault": stats.dropped},
+            "corrupted": faults.stats.corrupted}
+        assert faults.stats.dropped and faults.stats.blocked_by_crash
+        assert faults.stats.corrupted
+        assert stats.dropped == (faults.stats.dropped
+                                 + faults.stats.blocked_by_crash)
 
     def test_summarize_reads_flight_dumps(self, tmp_path, capsys):
         path = str(tmp_path / "run.flight.jsonl")
